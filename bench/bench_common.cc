@@ -8,6 +8,8 @@
 #include <fstream>
 #include <thread>
 
+#include <unistd.h>
+
 #include "exec/verify.h"
 #include "util/logging.h"
 
@@ -146,6 +148,17 @@ void BenchJson::Add(const std::string& plan, const std::string& kind,
       Entry{plan, kind, threads, pipeline_depth, policy, cap_bytes, stats});
 }
 
+void BenchJson::AddOptimization(const std::string& program,
+                                const std::string& kind, size_t threads,
+                                const OptimizationResult& r) {
+  if (!active()) return;
+  opt_entries_.push_back(OptEntry{
+      program, kind, threads, r.optimize_seconds, r.candidates_tested,
+      r.candidates_pruned, r.schedules_found,
+      static_cast<int64_t>(r.plans.size()), r.lp_calls, r.ilp_calls,
+      r.lp_memo_hits, r.ilp_memo_hits});
+}
+
 namespace {
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -155,13 +168,40 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+// First line of a shell command's output, or "unknown".
+std::string FirstOutputLine(const char* cmd) {
+  std::string out;
+  if (FILE* p = popen(cmd, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) out = buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+std::string HostName() {
+  char buf[256] = {};
+  if (gethostname(buf, sizeof(buf) - 1) != 0) return "unknown";
+  return buf;
+}
 }  // namespace
 
 void BenchJson::Flush() {
   if (!active()) return;
   std::ofstream f(path_);
   RIOT_CHECK(f.good()) << "cannot write " << path_;
-  f << "{\n  \"bench\": \"" << JsonEscape(bench_) << "\",\n  \"runs\": [\n";
+  f << "{\n  \"bench\": \"" << JsonEscape(bench_) << "\",\n"
+    << "  \"host\": \"" << JsonEscape(HostName()) << "\",\n"
+    << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+    << "  \"build_type\": \"" << RIOT_BENCH_BUILD_TYPE << "\",\n"
+    << "  \"git_sha\": \""
+    << JsonEscape(FirstOutputLine(
+           "git describe --always --dirty --abbrev=12 2>/dev/null"))
+    << "\",\n  \"runs\": [\n";
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     const ExecStats& s = e.stats;
@@ -192,8 +232,35 @@ void BenchJson::Flush() {
         i + 1 < entries_.size() ? "," : "");
     f << buf;
   }
-  f << "  ]\n}\n";
-  std::printf("[%s] wrote %zu runs to %s\n", bench_.c_str(), entries_.size(),
+  f << "  ]";
+  if (!opt_entries_.empty()) {
+    f << ",\n  \"optimizations\": [\n";
+    for (size_t i = 0; i < opt_entries_.size(); ++i) {
+      const OptEntry& e = opt_entries_[i];
+      char buf[640];
+      std::snprintf(
+          buf, sizeof(buf),
+          "    {\"program\": \"%s\", \"kind\": \"%s\", \"threads\": %zu, "
+          "\"seconds\": %.6f, \"candidates_tested\": %lld, "
+          "\"candidates_pruned\": %lld, \"schedules_found\": %lld, "
+          "\"plans\": %lld, \"lp_calls\": %lld, \"ilp_calls\": %lld, "
+          "\"lp_memo_hits\": %lld, \"ilp_memo_hits\": %lld}%s\n",
+          JsonEscape(e.program).c_str(), JsonEscape(e.kind).c_str(),
+          e.threads, e.seconds, static_cast<long long>(e.tested),
+          static_cast<long long>(e.pruned), static_cast<long long>(e.found),
+          static_cast<long long>(e.plans),
+          static_cast<long long>(e.lp_calls),
+          static_cast<long long>(e.ilp_calls),
+          static_cast<long long>(e.lp_memo_hits),
+          static_cast<long long>(e.ilp_memo_hits),
+          i + 1 < opt_entries_.size() ? "," : "");
+      f << buf;
+    }
+    f << "  ]";
+  }
+  f << "\n}\n";
+  std::printf("[%s] wrote %zu runs and %zu optimizations to %s\n",
+              bench_.c_str(), entries_.size(), opt_entries_.size(),
               path_.c_str());
 }
 

@@ -34,13 +34,18 @@ struct PlanRun {
 
 /// \brief Machine-readable benchmark trajectory: `--json <path>` on a bench
 /// binary collects every run (plan-table runs, thread sweeps, and
-/// replacement-policy sweeps) into one JSON file — {"bench": ..., "runs":
-/// [{plan, kind, threads, pipeline_depth, policy, cap_bytes, wall_seconds,
-/// io_seconds, compute_seconds, overlap_seconds, compute_overlap_seconds,
-/// bytes_read, bytes_written, block_reads, evictions, dirty_writebacks,
+/// replacement-policy sweeps) into one JSON file — {"bench": ..., "host",
+/// "nproc", "build_type", "git_sha", "runs": [{plan, kind, threads,
+/// pipeline_depth, policy, cap_bytes, wall_seconds, io_seconds,
+/// compute_seconds, overlap_seconds, compute_overlap_seconds, bytes_read,
+/// bytes_written, block_reads, evictions, dirty_writebacks,
 /// policy_saved_reads, parallel_groups, max_ready_width}, ...]} — so
 /// scripts/bench_json.sh can track wall/overlap/utilization and the
-/// LRU-vs-OPT read gap across commits without parsing tables.
+/// LRU-vs-OPT read gap across commits without parsing tables. Optimizer
+/// runs (AddOptimization) go to an "optimizations" array: {program, kind,
+/// threads, seconds, candidates_tested, candidates_pruned,
+/// schedules_found, plans, lp_calls, ilp_calls, lp_memo_hits,
+/// ilp_memo_hits}.
 class BenchJson {
  public:
   /// Parses `--json <path>` out of argv; inactive (all calls no-ops) when
@@ -52,6 +57,9 @@ class BenchJson {
   void Add(const std::string& plan, const std::string& kind, int threads,
            int pipeline_depth, const ExecStats& stats,
            const std::string& policy = "", int64_t cap_bytes = 0);
+  /// Records one Optimize call; `threads` is the worker count it ran with.
+  void AddOptimization(const std::string& program, const std::string& kind,
+                       size_t threads, const OptimizationResult& r);
   /// Writes the file; prints the path. No-op when inactive.
   void Flush();
 
@@ -65,9 +73,17 @@ class BenchJson {
     int64_t cap_bytes;
     ExecStats stats;
   };
+  struct OptEntry {
+    std::string program, kind;
+    size_t threads;
+    double seconds;
+    int64_t tested, pruned, found, plans;
+    int64_t lp_calls, ilp_calls, lp_memo_hits, ilp_memo_hits;
+  };
   std::string bench_;
   std::string path_;
   std::vector<Entry> entries_;
+  std::vector<OptEntry> opt_entries_;
 };
 
 /// \brief Executes the workload's original schedule at {1, 2, 4} kernel

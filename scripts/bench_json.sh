@@ -9,7 +9,8 @@
 # elision), and the open-loop serving sweep (Zipf whale-plus-mice traffic
 # vs offered load per admission policy: p50/p99/p999, mouse/whale tails,
 # admission waits; plus a pool-cap x replacement sweep with per-run
-# block_reads / policy_saved_reads / evictions) and drops
+# block_reads / policy_saved_reads / evictions) and the optimizer-time
+# bench (per-program optimize seconds and schedule-solver work), and drops
 # BENCH_<name>.json files (wall, io_seconds, compute_seconds, overlap,
 # threads, DAG width, per-policy block_reads/evictions/spills, and
 # per-session throughput) into the output directory.
@@ -36,6 +37,12 @@ for bench in fig4_2mm_a fig5_2mm_b fig6_linreg replacement sessions expr serve; 
   echo "=== ${bench} -> ${out}"
   "${bin}" --json "${out}"
 done
+
+# Optimizer time per paper program (full searches, linreg included) with
+# candidate counts and the schedule solver's LP/ILP calls and memo hits.
+out="${out_dir}/BENCH_opt.json"
+echo "=== opt_time -> ${out}"
+"${build_dir}/bench_opt_time" --json "${out}"
 
 # Kernel microbenchmarks (google-benchmark binary, built only when the
 # library is present): GFLOP/s for packed vs naive vs scalar GEMM across

@@ -162,7 +162,7 @@ OptimizationResult Optimize(const Program& program,
                                          &result.candidates_pruned);
     result.candidates_tested += static_cast<int64_t>(candidates.size());
     // Test candidates in parallel; they are independent (FindSchedule is
-    // const and ScheduleSolver's stats are atomic).
+    // thread-safe and its memo never changes an answer).
     std::vector<std::optional<Schedule>> found(candidates.size());
     std::atomic<size_t> next{0};
     auto worker = [&]() {
@@ -193,6 +193,10 @@ OptimizationResult Optimize(const Program& program,
     feasible_prev = std::move(feasible_k);
     ++k;
   }
+  result.lp_calls = solver.stats().lp_calls;
+  result.ilp_calls = solver.stats().ilp_calls;
+  result.lp_memo_hits = solver.stats().lp_memo_hits;
+  result.ilp_memo_hits = solver.stats().ilp_memo_hits;
 
   // Best plan under the (per-session) memory cap.
   result.best_index = 0;

@@ -1,6 +1,7 @@
 #include "core/schedule_solver.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -56,30 +57,45 @@ std::string ConstraintKey(const LpConstraint& c) {
   return os.str();
 }
 
+// Constraint rows with each row's ConstraintKey kept alongside, so memo
+// keys are built without re-stringifying Rationals.
+struct System {
+  std::vector<LpConstraint> cons;
+  std::vector<std::string> keys;
+
+  void Push(LpConstraint c, std::string key) {
+    cons.push_back(std::move(c));
+    keys.push_back(std::move(key));
+  }
+  void Push(LpConstraint c) {
+    std::string key = ConstraintKey(c);
+    Push(std::move(c), std::move(key));
+  }
+  void Pop() {
+    cons.pop_back();
+    keys.pop_back();
+  }
+};
+
 // Constraint pool with deduplication (many instance pairs induce the same
 // linear constraint on schedule coefficients).
 class Pool {
  public:
   void Add(LpConstraint c) {
     std::string key = ConstraintKey(c);
-    if (seen_.insert(std::move(key)).second) {
-      cons_.push_back(std::move(c));
-    }
+    if (seen_.insert(key).second) sys_.Push(std::move(c), std::move(key));
   }
-  void AddAll(const std::vector<LpConstraint>& cs) {
-    for (const auto& c : cs) Add(c);
-  }
-  const std::vector<LpConstraint>& constraints() const { return cons_; }
-  size_t size() const { return cons_.size(); }
+  const System& system() const { return sys_; }
+  size_t size() const { return sys_.cons.size(); }
   void TruncateTo(size_t n) {
-    while (cons_.size() > n) {
-      seen_.erase(ConstraintKey(cons_.back()));
-      cons_.pop_back();
+    while (size() > n) {
+      seen_.erase(sys_.keys.back());
+      sys_.Pop();
     }
   }
 
  private:
-  std::vector<LpConstraint> cons_;
+  System sys_;
   std::set<std::string> seen_;
 };
 
@@ -88,7 +104,82 @@ class Pool {
 ScheduleSolver::ScheduleSolver(const Program& program,
                                std::vector<CoAccess> dependences,
                                SolverOptions options)
-    : prog_(program), deps_(std::move(dependences)), opts_(options) {}
+    : prog_(program), deps_(std::move(dependences)), opts_(options) {
+  // Constants may legitimately be as large as the sum of all loop trip
+  // counts (sequential composition of nests in one time dim).
+  int64_t const_bound = 2;
+  for (const auto& st : prog_.statements()) {
+    for (size_t dd = 0; dd < st.depth(); ++dd) {
+      auto bb = st.domain.IntegerVarBounds(dd);
+      if (bb) const_bound += (bb->second - bb->first + 1);
+    }
+  }
+  const Layout layout = MakeLayout(prog_);
+  var_bounds_.assign(layout.dim, opts_.coeff_bound);
+  for (size_t i = 0; i < layout.offset.size(); ++i) {
+    var_bounds_[layout.offset[i] + layout.depth[i]] = const_bound;
+  }
+}
+
+bool ScheduleSolver::Feasible(const std::vector<LpConstraint>& cons,
+                              const std::vector<std::string>& keys) const {
+  ++stats_.lp_calls;
+  std::vector<const std::string*> sorted;
+  sorted.reserve(keys.size());
+  for (const std::string& k : keys) sorted.push_back(&k);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  sorted.erase(std::unique(sorted.begin(), sorted.end(),
+                           [](const std::string* a, const std::string* b) {
+                             return *a == *b;
+                           }),
+               sorted.end());
+  std::string key;  // '\n' never occurs inside a row key
+  for (const std::string* k : sorted) key.append(*k) += '\n';
+  {
+    MutexLock lock(&memo_mu_);
+    auto it = lp_memo_.find(key);
+    if (it != lp_memo_.end()) {
+      ++stats_.lp_memo_hits;
+      return it->second;
+    }
+  }
+  auto f = LpFeasible(var_bounds_.size(), cons);
+  if (!f.ok()) {
+    // Pivot budget exhausted: treat the candidate row as infeasible —
+    // the solver simply fails to find a schedule for this combination
+    // rather than hanging or aborting the whole optimization.
+    RIOT_LOG(Warning) << "schedule LP gave up: " << f.status().ToString();
+  }
+  const bool feasible = f.ok() && *f;
+  MutexLock lock(&memo_mu_);
+  lp_memo_.emplace(std::move(key), feasible);
+  return feasible;
+}
+
+std::optional<std::vector<int64_t>> ScheduleSolver::SampleRow(
+    const std::vector<LpConstraint>& cons,
+    const std::vector<std::string>& keys) const {
+  ++stats_.ilp_calls;
+  std::string key;
+  for (const std::string& k : keys) key.append(k) += '\n';
+  {
+    MutexLock lock(&memo_mu_);
+    auto it = ilp_memo_.find(key);
+    if (it != ilp_memo_.end()) {
+      ++stats_.ilp_memo_hits;
+      return it->second;
+    }
+  }
+  IlpOptions io;
+  io.var_bound = opts_.coeff_bound;
+  io.var_bounds = var_bounds_;
+  auto row = FindIntegerPoint(var_bounds_.size(), cons,
+                              /*minimize_l1=*/true, io);
+  MutexLock lock(&memo_mu_);
+  ilp_memo_.emplace(std::move(key), row);
+  return row;
+}
 
 std::optional<Schedule> ScheduleSolver::FindSchedule(
     const std::vector<const CoAccess*>& q) const {
@@ -99,18 +190,8 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
   std::vector<std::vector<std::vector<int64_t>>> rows(n);  // sampled, per stmt
   std::vector<size_t> ki(n, 0);  // independent rows so far
   std::vector<bool> dep_satisfied(deps_.size(), false);
-
-  auto feasible = [&](const std::vector<LpConstraint>& cs) {
-    ++stats_.lp_calls;
-    auto f = LpFeasible(layout.dim, cs);
-    if (!f.ok()) {
-      // Pivot budget exhausted: treat the candidate row as infeasible —
-      // the solver simply fails to find a schedule for this combination
-      // rather than hanging or aborting the whole optimization.
-      RIOT_LOG(Warning) << "schedule LP gave up: " << f.status().ToString();
-      return false;
-    }
-    return *f;
+  auto feasible = [&](const System& sys) {
+    return Feasible(sys.cons, sys.keys);
   };
 
   for (size_t d = 1; d <= dmax; ++d) {
@@ -155,7 +236,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
                                o->dst.stmt_id, pr.dst_iter),
                       CmpOp::kEq, Rational(sign)});
           }
-          if (feasible(pool.constraints())) {
+          if (feasible(pool.system())) {
             placed = true;
             break;
           }
@@ -164,7 +245,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
         if (!placed) return std::nullopt;
       }
     }
-    if (!feasible(pool.constraints())) return std::nullopt;
+    if (!feasible(pool.system())) return std::nullopt;
 
     // Dimensionality constraints (Alg. 3 lines 28-38, EnumRow = Alg. 1).
     std::vector<std::vector<size_t>> nonzero_groups;
@@ -209,21 +290,20 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
             pool.Add({std::move(c), CmpOp::kEq, Rational(0)});
           }
         }
-        bool ok = feasible(pool.constraints());
+        bool ok = feasible(pool.system());
         if (ok && l == 1) {
           // Additionally require that a nonzero iteration part exists.
           ok = false;
+          System cs = pool.system();
           for (size_t j = 0; j < ds && !ok; ++j) {
             for (int sign : {+1, -1}) {
-              auto cs = pool.constraints();
               RVector c(layout.dim);
               c[layout.offset[i] + j] = Rational(1);
-              cs.push_back({std::move(c), sign > 0 ? CmpOp::kGe : CmpOp::kLe,
-                            Rational(sign)});
-              if (feasible(cs)) {
-                ok = true;
-                break;
-              }
+              cs.Push({std::move(c), sign > 0 ? CmpOp::kGe : CmpOp::kLe,
+                       Rational(sign)});
+              ok = feasible(cs);
+              cs.Pop();
+              if (ok) break;
             }
           }
         }
@@ -253,7 +333,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
                            deps_[di].dst.stmt_id, pr.dst_iter),
                   CmpOp::kGe, Rational(1)});
       }
-      if (feasible(pool.constraints())) {
+      if (feasible(pool.system())) {
         dep_satisfied[di] = true;
       } else {
         pool.TruncateTo(mark);
@@ -261,45 +341,26 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
     }
 
     // Sample an integer row (line 44), honoring nonzero groups via DFS.
-    std::function<std::optional<std::vector<int64_t>>(
-        std::vector<LpConstraint>&, size_t)>
-        sample = [&](std::vector<LpConstraint>& cs,
+    std::function<std::optional<std::vector<int64_t>>(System&, size_t)>
+        sample = [&](System& cs,
                      size_t gi) -> std::optional<std::vector<int64_t>> {
-      if (gi == nonzero_groups.size()) {
-        ++stats_.ilp_calls;
-        IlpOptions io;
-        io.var_bound = opts_.coeff_bound;
-        // Constants may legitimately be as large as the sum of all loop
-        // trip counts (sequential composition of nests in one time dim).
-        int64_t const_bound = 2;
-        for (const auto& st : prog_.statements()) {
-          for (size_t dd = 0; dd < st.depth(); ++dd) {
-            auto bb = st.domain.IntegerVarBounds(dd);
-            if (bb) const_bound += (bb->second - bb->first + 1);
-          }
-        }
-        io.var_bounds.assign(layout.dim, opts_.coeff_bound);
-        for (size_t i = 0; i < n; ++i) {
-          io.var_bounds[layout.offset[i] + layout.depth[i]] = const_bound;
-        }
-        return FindIntegerPoint(layout.dim, cs, /*minimize_l1=*/true, io);
-      }
+      if (gi == nonzero_groups.size()) return SampleRow(cs.cons, cs.keys);
       for (size_t v : nonzero_groups[gi]) {
         for (int sign : {+1, -1}) {
           RVector c(layout.dim);
           c[v] = Rational(1);
-          cs.push_back({std::move(c), sign > 0 ? CmpOp::kGe : CmpOp::kLe,
-                        Rational(sign)});
+          cs.Push({std::move(c), sign > 0 ? CmpOp::kGe : CmpOp::kLe,
+                   Rational(sign)});
           if (feasible(cs)) {
             auto r = sample(cs, gi + 1);
             if (r) return r;
           }
-          cs.pop_back();
+          cs.Pop();
         }
       }
       return std::nullopt;
     };
-    auto cs = pool.constraints();
+    System cs = pool.system();
     auto row = sample(cs, 0);
     if (!row) return std::nullopt;
     for (size_t i = 0; i < n; ++i) rows[i].push_back(*row);

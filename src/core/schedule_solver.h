@@ -17,11 +17,15 @@
 
 #include <atomic>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/coaccess.h"
+#include "ilp/simplex.h"
 #include "ir/program.h"
 #include "ir/schedule.h"
+#include "util/thread_annotations.h"
 
 namespace riot {
 
@@ -30,9 +34,13 @@ struct SolverOptions {
   int64_t coeff_bound = 3;
 };
 
+/// Calls count every request, memo hits included; the exact solver ran
+/// `calls - memo_hits` times.
 struct SolverStats {
-  std::atomic<int64_t> lp_calls{0};
-  std::atomic<int64_t> ilp_calls{0};
+  std::atomic<int64_t> lp_calls{0};   // feasibility checks
+  std::atomic<int64_t> ilp_calls{0};  // integer row samples
+  std::atomic<int64_t> lp_memo_hits{0};
+  std::atomic<int64_t> ilp_memo_hits{0};
 };
 
 class ScheduleSolver {
@@ -41,8 +49,11 @@ class ScheduleSolver {
                  SolverOptions options = {});
 
   /// Attempts to find a legal schedule realizing all opportunities in q.
+  /// Thread-safe. LP and ILP answers are memoized for the solver's
+  /// lifetime, so candidates that rebuild the same constraint systems
+  /// solve each system once; results do not depend on the memo's state.
   std::optional<Schedule> FindSchedule(
-      const std::vector<const CoAccess*>& q) const;
+      const std::vector<const CoAccess*>& q) const EXCLUDES(memo_mu_);
 
   /// Exact legality check: every dependence pair strictly ordered and all
   /// instance times unique under `sched`.
@@ -56,12 +67,30 @@ class ScheduleSolver {
   SolverStats& stats() const { return stats_; }
 
  private:
-  struct JointSpace;
+  // Both take the rows together with each row's ConstraintKey.
+  /// Exact feasibility of `cons`, memoized on the set of its rows:
+  /// feasibility is a property of the set, not of the rows' order.
+  bool Feasible(const std::vector<LpConstraint>& cons,
+                const std::vector<std::string>& keys) const
+      EXCLUDES(memo_mu_);
+  /// Minimum-L1 integer point of `cons`, memoized on its rows in order:
+  /// branch-and-bound breaks ties by row order.
+  std::optional<std::vector<int64_t>> SampleRow(
+      const std::vector<LpConstraint>& cons,
+      const std::vector<std::string>& keys) const EXCLUDES(memo_mu_);
 
   const Program& prog_;
   std::vector<CoAccess> deps_;
   SolverOptions opts_;
+  std::vector<int64_t> var_bounds_;  // ILP box per schedule-row coefficient
   mutable SolverStats stats_;
+  // Every entry is a deterministic function of its key, so threads racing
+  // to fill one store the same answer. A pivot-budget give-up is stored
+  // as infeasible.
+  mutable Mutex memo_mu_;
+  mutable std::unordered_map<std::string, bool> lp_memo_ GUARDED_BY(memo_mu_);
+  mutable std::unordered_map<std::string, std::optional<std::vector<int64_t>>>
+      ilp_memo_ GUARDED_BY(memo_mu_);
 };
 
 }  // namespace riot

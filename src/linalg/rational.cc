@@ -24,6 +24,16 @@ std::string Int128ToString(int128 v) {
   std::reverse(s.begin(), s.end());
   return s;
 }
+
+// a / g for a divisor g > 0 of a, on the hardware 64-bit divide when both
+// fit (the 128-bit one is a software routine).
+int128 DivExact(int128 a, int128 g) {
+  if (g == 1) return a;
+  if (a >= INT64_MIN && a <= INT64_MAX && g <= INT64_MAX) {
+    return static_cast<int64_t>(a) / static_cast<int64_t>(g);
+  }
+  return a / g;
+}
 }  // namespace
 
 void Rational::CheckRange(int128 v) {
@@ -34,16 +44,31 @@ void Rational::CheckRange(int128 v) {
 int128 Rational::Gcd(int128 a, int128 b) {
   if (a < 0) a = -a;
   if (b < 0) b = -b;
-  while (b != 0) {
+  // Euclid in 128 bits only while an operand exceeds 64 bits: one step
+  // leaves a remainder below the smaller operand, and the rest runs on the
+  // hardware 64-bit remainder instead of the software 128-bit one.
+  while (b != 0 && (a > INT64_MAX || b > INT64_MAX)) {
     int128 t = a % b;
     a = b;
     b = t;
   }
-  return a;
+  if (b == 0) return a;
+  uint64_t x = static_cast<uint64_t>(a);
+  uint64_t y = static_cast<uint64_t>(b);
+  while (y != 0) {
+    uint64_t t = x % y;
+    x = y;
+    y = t;
+  }
+  return x;
 }
 
 void Rational::Normalize() {
   RIOT_CHECK(den_ != 0) << "zero denominator";
+  if (den_ == 1) {
+    CheckRange(num_);
+    return;
+  }
   if (den_ < 0) {
     num_ = -num_;
     den_ = -den_;
@@ -53,8 +78,8 @@ void Rational::Normalize() {
     return;
   }
   int128 g = Gcd(num_, den_);
-  num_ /= g;
-  den_ /= g;
+  num_ = DivExact(num_, g);
+  den_ = DivExact(den_, g);
   CheckRange(num_);
   CheckRange(den_);
 }
@@ -71,19 +96,33 @@ int64_t Rational::Ceil() const {
   return static_cast<int64_t>(q);
 }
 
-Rational Rational::operator+(const Rational& o) const {
-  // Reduce cross terms first to limit growth.
-  int128 g = Gcd(den_, o.den_);
-  int128 lcm_part = o.den_ / g;
-  return FromInt128(num_ * lcm_part + o.num_ * (den_ / g), den_ * lcm_part);
+Rational Rational::FromInteger(int128 n) {
+  CheckRange(n);
+  Rational r;
+  r.num_ = n;
+  return r;
 }
 
-Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
+Rational Rational::operator+(const Rational& o) const {
+  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ + o.num_);
+  // Reduce cross terms first to limit growth.
+  int128 g = Gcd(den_, o.den_);
+  int128 lcm_part = DivExact(o.den_, g);
+  return FromInt128(num_ * lcm_part + o.num_ * DivExact(den_, g),
+                    den_ * lcm_part);
+}
+
+Rational Rational::operator-(const Rational& o) const {
+  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ - o.num_);
+  return *this + (-o);
+}
 
 Rational Rational::operator*(const Rational& o) const {
+  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ * o.num_);
   int128 g1 = Gcd(num_, o.den_);
   int128 g2 = Gcd(o.num_, den_);
-  return FromInt128((num_ / g1) * (o.num_ / g2), (den_ / g2) * (o.den_ / g1));
+  return FromInt128(DivExact(num_, g1) * DivExact(o.num_, g2),
+                    DivExact(den_, g2) * DivExact(o.den_, g1));
 }
 
 Rational Rational::operator/(const Rational& o) const {
@@ -92,6 +131,7 @@ Rational Rational::operator/(const Rational& o) const {
 }
 
 bool Rational::operator<(const Rational& o) const {
+  if (den_ == 1 && o.den_ == 1) return num_ < o.num_;
   // num_/den_ < o.num_/o.den_  <=>  num_*o.den_ < o.num_*den_ (dens > 0).
   return num_ * o.den_ < o.num_ * den_;
 }

@@ -84,6 +84,8 @@ class Rational {
 
  private:
   void Normalize();
+  /// Integer-valued result (den 1): range-checked, no gcd needed.
+  static Rational FromInteger(int128 n);
   static int128 Gcd(int128 a, int128 b);
   static void CheckRange(int128 v);
 

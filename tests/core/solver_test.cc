@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "analysis/coaccess.h"
+#include "core/optimizer.h"
 #include "ops/workload.h"
 
 namespace riot {
@@ -150,6 +154,122 @@ TEST(SolverDepthOne, LinRegPipelineSchedulable) {
   EXPECT_TRUE(solver.IsLegal(*s));
   EXPECT_TRUE(solver.Realizes(*s, *x12));
 }
+
+// Memo differential: a solver shared by every candidate of an Apriori
+// search (warm memo) must answer exactly like a fresh solver per candidate
+// (cold memo), and Optimize must not depend on which thread fills the memo.
+struct MemoCase {
+  const char* name;
+  std::function<Workload()> make;
+  size_t max_combination_size;
+};
+
+const MemoCase kMemoCases[] = {
+    {"addmul", [] { return MakeAddMul(1); }, SIZE_MAX},
+    {"twomm_a",
+     [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1); }, SIZE_MAX},
+    {"twomm_b",
+     [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1); }, SIZE_MAX},
+    {"linreg", [] { return MakeLinReg(1); }, 2},
+    {"example1", [] { return MakeExample1(3, 4, 2); }, SIZE_MAX},
+};
+
+class SolverMemoTest : public ::testing::TestWithParam<MemoCase> {};
+
+TEST_P(SolverMemoTest, WarmMemoMatchesColdSolverOnEveryAprioriCandidate) {
+  const MemoCase& mc = GetParam();
+  Workload w = mc.make();
+  AnalysisResult a = AnalyzeProgram(w.program);
+  ScheduleSolver warm(w.program, a.dependences);
+  const int num_opps = static_cast<int>(a.sharing.size());
+  // Algorithm 2's levels: size-k candidates whose (k-1)-subsets are all
+  // feasible, in the optimizer's order.
+  std::set<std::vector<int>> feasible_prev;
+  int64_t tested = 0;
+  for (size_t k = 1; k <= mc.max_combination_size &&
+                     k <= static_cast<size_t>(num_opps);
+       ++k) {
+    std::vector<std::vector<int>> level;
+    if (k == 1) {
+      for (int i = 0; i < num_opps; ++i) level.push_back({i});
+    }
+    for (const auto& base : feasible_prev) {
+      for (int next = base.back() + 1; next < num_opps; ++next) {
+        std::vector<int> c = base;
+        c.push_back(next);
+        bool subsets_feasible = true;
+        for (size_t drop = 0; drop + 1 < c.size(); ++drop) {
+          std::vector<int> sub = c;
+          sub.erase(sub.begin() + static_cast<std::ptrdiff_t>(drop));
+          subsets_feasible = subsets_feasible && feasible_prev.count(sub);
+        }
+        if (subsets_feasible) level.push_back(std::move(c));
+      }
+    }
+    std::set<std::vector<int>> feasible_k;
+    for (const auto& c : level) {
+      std::vector<const CoAccess*> q;
+      std::string label;
+      for (int oi : c) {
+        q.push_back(&a.sharing[static_cast<size_t>(oi)]);
+        label += a.sharing[static_cast<size_t>(oi)].Label(w.program) + " ";
+      }
+      ScheduleSolver cold(w.program, a.dependences);
+      auto sw = warm.FindSchedule(q);
+      auto sc = cold.FindSchedule(q);
+      ++tested;
+      ASSERT_EQ(sw.has_value(), sc.has_value()) << mc.name << ": " << label;
+      if (!sw) continue;
+      EXPECT_EQ(sw->ToString(), sc->ToString()) << mc.name << ": " << label;
+      feasible_k.insert(c);
+    }
+    feasible_prev = std::move(feasible_k);
+    if (feasible_prev.empty()) break;
+  }
+  EXPECT_GT(tested, 1);
+  EXPECT_GT(warm.stats().lp_memo_hits.load(), 0) << mc.name;
+  EXPECT_GT(warm.stats().ilp_memo_hits.load(), 0) << mc.name;
+  EXPECT_LT(warm.stats().lp_memo_hits.load(), warm.stats().lp_calls.load());
+}
+
+TEST_P(SolverMemoTest, OptimizeIdenticalAtOneAndFourThreads) {
+  const MemoCase& mc = GetParam();
+  Workload w = mc.make();
+  OptimizerOptions serial;
+  serial.max_combination_size = mc.max_combination_size;
+  serial.num_threads = 1;
+  OptimizerOptions parallel = serial;
+  parallel.num_threads = 4;
+  OptimizationResult rs = Optimize(w.program, serial);
+  OptimizationResult rp = Optimize(w.program, parallel);
+  EXPECT_EQ(rs.best_index, rp.best_index);
+  EXPECT_EQ(rs.candidates_tested, rp.candidates_tested);
+  // Memo hits may differ under racing fills; the requests may not.
+  EXPECT_EQ(rs.lp_calls, rp.lp_calls);
+  EXPECT_EQ(rs.ilp_calls, rp.ilp_calls);
+  EXPECT_GT(rs.lp_memo_hits, 0);
+  EXPECT_GT(rp.lp_memo_hits, 0);
+  ASSERT_EQ(rs.plans.size(), rp.plans.size());
+  for (size_t i = 0; i < rs.plans.size(); ++i) {
+    const Plan& ps = rs.plans[i];
+    const Plan& pp = rp.plans[i];
+    EXPECT_EQ(ps.opportunities, pp.opportunities) << "plan " << i;
+    EXPECT_EQ(ps.schedule.ToString(), pp.schedule.ToString()) << "plan " << i;
+    EXPECT_EQ(ps.cost.read_bytes, pp.cost.read_bytes) << "plan " << i;
+    EXPECT_EQ(ps.cost.write_bytes, pp.cost.write_bytes) << "plan " << i;
+    EXPECT_EQ(ps.cost.block_reads, pp.cost.block_reads) << "plan " << i;
+    EXPECT_EQ(ps.cost.block_writes, pp.cost.block_writes) << "plan " << i;
+    EXPECT_EQ(ps.cost.peak_memory_bytes, pp.cost.peak_memory_bytes)
+        << "plan " << i;
+    EXPECT_EQ(ps.cost.io_seconds, pp.cost.io_seconds) << "plan " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, SolverMemoTest,
+                         ::testing::ValuesIn(kMemoCases),
+                         [](const ::testing::TestParamInfo<MemoCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace riot
