@@ -153,10 +153,11 @@ void BenchJson::AddOptimization(const std::string& program,
                                 const OptimizationResult& r) {
   if (!active()) return;
   opt_entries_.push_back(OptEntry{
-      program, kind, threads, r.optimize_seconds, r.candidates_tested,
+      program, kind, threads, r.optimize_seconds, r.analyze_seconds,
+      r.search_seconds, r.cost_seconds, r.candidates_tested,
       r.candidates_pruned, r.schedules_found,
       static_cast<int64_t>(r.plans.size()), r.lp_calls, r.ilp_calls,
-      r.lp_memo_hits, r.ilp_memo_hits});
+      r.lp_memo_hits, r.ilp_memo_hits, r.lp_witness_hits});
 }
 
 namespace {
@@ -237,22 +238,27 @@ void BenchJson::Flush() {
     f << ",\n  \"optimizations\": [\n";
     for (size_t i = 0; i < opt_entries_.size(); ++i) {
       const OptEntry& e = opt_entries_[i];
-      char buf[640];
+      char buf[768];
       std::snprintf(
           buf, sizeof(buf),
           "    {\"program\": \"%s\", \"kind\": \"%s\", \"threads\": %zu, "
-          "\"seconds\": %.6f, \"candidates_tested\": %lld, "
+          "\"seconds\": %.6f, \"analyze_seconds\": %.6f, "
+          "\"search_seconds\": %.6f, \"cost_seconds\": %.6f, "
+          "\"candidates_tested\": %lld, "
           "\"candidates_pruned\": %lld, \"schedules_found\": %lld, "
           "\"plans\": %lld, \"lp_calls\": %lld, \"ilp_calls\": %lld, "
-          "\"lp_memo_hits\": %lld, \"ilp_memo_hits\": %lld}%s\n",
+          "\"lp_memo_hits\": %lld, \"ilp_memo_hits\": %lld, "
+          "\"lp_witness_hits\": %lld}%s\n",
           JsonEscape(e.program).c_str(), JsonEscape(e.kind).c_str(),
-          e.threads, e.seconds, static_cast<long long>(e.tested),
+          e.threads, e.seconds, e.analyze_seconds, e.search_seconds,
+          e.cost_seconds, static_cast<long long>(e.tested),
           static_cast<long long>(e.pruned), static_cast<long long>(e.found),
           static_cast<long long>(e.plans),
           static_cast<long long>(e.lp_calls),
           static_cast<long long>(e.ilp_calls),
           static_cast<long long>(e.lp_memo_hits),
           static_cast<long long>(e.ilp_memo_hits),
+          static_cast<long long>(e.lp_witness_hits),
           i + 1 < opt_entries_.size() ? "," : "");
       f << buf;
     }

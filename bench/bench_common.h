@@ -76,9 +76,10 @@ class BenchJson {
   struct OptEntry {
     std::string program, kind;
     size_t threads;
-    double seconds;
+    double seconds, analyze_seconds, search_seconds, cost_seconds;
     int64_t tested, pruned, found, plans;
     int64_t lp_calls, ilp_calls, lp_memo_hits, ilp_memo_hits;
+    int64_t lp_witness_hits;
   };
   std::string bench_;
   std::string path_;

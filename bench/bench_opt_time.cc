@@ -4,8 +4,9 @@
 // regression search space pruned). Also ablates Apriori pruning against
 // exhaustive power-set enumeration and shows that optimization time is
 // independent of data scale. `--json <path>` records every Optimize call
-// with its candidate counts and schedule-solver work (LP/ILP calls and
-// memo hits); scripts/bench_json.sh writes it to BENCH_opt.json.
+// with its candidate counts, per-phase seconds and schedule-solver work
+// (LP/ILP calls, memo and witness hits); scripts/bench_json.sh writes it to
+// BENCH_opt.json.
 #include <algorithm>
 #include <cstdio>
 #include <thread>
@@ -22,9 +23,13 @@ size_t Workers() {
 }
 
 void PrintSolverWork(const OptimizationResult& r) {
-  std::printf("  solver: lp=%lld (memo hits %lld)  ilp=%lld (memo hits %lld)\n",
+  std::printf("  phases: analyze=%.3fs search=%.3fs cost=%.3fs\n",
+              r.analyze_seconds, r.search_seconds, r.cost_seconds);
+  std::printf("  solver: lp=%lld (memo hits %lld, witness hits %lld)  "
+              "ilp=%lld (memo hits %lld)\n",
               static_cast<long long>(r.lp_calls),
               static_cast<long long>(r.lp_memo_hits),
+              static_cast<long long>(r.lp_witness_hits),
               static_cast<long long>(r.ilp_calls),
               static_cast<long long>(r.ilp_memo_hits));
 }

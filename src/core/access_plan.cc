@@ -40,7 +40,8 @@ AccessScript BuildAccessScript(const Program& program,
       for (size_t ai = 0; ai < st.accesses.size(); ++ai) {
         const Access& a = st.accesses[ai];
         if ((pass == 0) != (a.type == AccessType::kRead)) continue;
-        if (!a.ActiveAt(inst.iter)) continue;
+        const int64_t block = rp.access_block[rp.access_begin[pos] + ai];
+        if (block < 0) continue;  // guard inactive at this instance
         const ArrayInfo& arr = program.array(a.array_id);
         BlockAccessRecord rec;
         rec.pos = pos;
@@ -48,19 +49,19 @@ AccessScript BuildAccessScript(const Program& program,
         rec.stmt_id = inst.stmt_id;
         rec.access_idx = static_cast<int>(ai);
         rec.array_id = a.array_id;
-        rec.block = arr.LinearBlockIndex(a.BlockAt(inst.iter));
+        rec.block = block;
         rec.bytes = arr.BlockBytes();
         rec.type = a.type;
-        AccessInstanceKey key{inst.stmt_id, inst.iter, rec.access_idx};
         if (a.type == AccessType::kRead) {
-          rec.saved = rp.saved_reads.count(key) > 0;
+          rec.saved = rp.Has(pos, rec.access_idx, RealizedPlan::kSavedRead);
           auto w = last_write.find({rec.array_id, rec.block});
           if (w != last_write.end()) {
             rec.dep_pos = static_cast<int64_t>(w->second);
           }
         } else {
-          rec.saved = rp.saved_writes.count(key) > 0 ||
-                      rp.elided_writes.count(key) > 0;
+          rec.saved =
+              rp.Has(pos, rec.access_idx, RealizedPlan::kSavedWrite) ||
+              rp.Has(pos, rec.access_idx, RealizedPlan::kElidedWrite);
           last_write[{rec.array_id, rec.block}] = pos;
         }
         auto rit = retain_at.find(std::make_tuple(pos, rec.array_id,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -21,22 +20,24 @@ PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
   PlanCost cost;
 
   // I/O volume sweep.
-  for (const auto& inst : rp.order) {
-    const Statement& st = program.statement(inst.stmt_id);
+  for (size_t pos = 0; pos < rp.order.size(); ++pos) {
+    const Statement& st = program.statement(rp.order[pos].stmt_id);
     for (size_t ai = 0; ai < st.accesses.size(); ++ai) {
+      const size_t flat = rp.access_begin[pos] + ai;
+      if (rp.access_block[flat] < 0) continue;
       const Access& a = st.accesses[ai];
-      if (!a.ActiveAt(inst.iter)) continue;
       const int64_t bytes = program.array(a.array_id).BlockBytes();
-      AccessInstanceKey key{inst.stmt_id, inst.iter, static_cast<int>(ai)};
+      const uint8_t f = rp.access_flags[flat];
       if (a.type == AccessType::kRead) {
         cost.baseline_read_bytes += bytes;
-        if (!rp.saved_reads.count(key)) {
+        if ((f & RealizedPlan::kSavedRead) == 0) {
           cost.read_bytes += bytes;
           ++cost.block_reads;
         }
       } else {
         cost.baseline_write_bytes += bytes;
-        if (!rp.saved_writes.count(key) && !rp.elided_writes.count(key)) {
+        if ((f & (RealizedPlan::kSavedWrite | RealizedPlan::kElidedWrite)) ==
+            0) {
           cost.write_bytes += bytes;
           ++cost.block_writes;
         }
@@ -48,46 +49,63 @@ PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
   // M(tau) = blocks the instance at tau accesses, plus every retained block
   // whose span covers tau). A span is active from its source access until
   // the last instant of its end group — exactly the executor's pin/retain
-  // discipline, so predicted peak equals measured peak.
-  std::map<std::pair<int, int64_t>, int64_t> retained;  // block -> max end grp
-  std::multimap<size_t, const RetentionSpan*> by_begin;
-  for (const auto& span : rp.spans) {
-    by_begin.emplace(span.begin_pos, &span);
+  // discipline, so predicted peak equals measured peak. Blocks are dense
+  // ids block_base[array] + linear index; a block is retained while
+  // retained_end[id] >= 0, and live_stamp dedupes one instance's blocks.
+  const auto& arrays = program.arrays();
+  std::vector<size_t> block_base(arrays.size() + 1, 0);
+  for (size_t a = 0; a < arrays.size(); ++a) {
+    block_base[a + 1] =
+        block_base[a] + static_cast<size_t>(arrays[a].NumBlocks());
   }
-  auto next_span = by_begin.begin();
+  std::vector<int64_t> retained_end(block_base.back(), -1);
+  std::vector<size_t> live_stamp(block_base.back(), 0);
+  std::vector<std::pair<size_t, int64_t>> retained;  // (block id, bytes)
+  int64_t retained_bytes = 0;
+  size_t next_span = 0;
   for (size_t pos = 0; pos < rp.order.size(); ++pos) {
     const size_t group = rp.group_of[pos];
-    // Expire retentions whose end group has completed.
-    for (auto it = retained.begin(); it != retained.end();) {
-      if (it->second < static_cast<int64_t>(group)) {
-        it = retained.erase(it);
-      } else {
-        ++it;
+    // Expire retentions whose end group has completed. Spans activated
+    // within a group end at that group or later, so only a new group can
+    // expire anything.
+    if (pos == 0 || group != rp.group_of[pos - 1]) {
+      for (size_t i = 0; i < retained.size();) {
+        if (retained_end[retained[i].first] < static_cast<int64_t>(group)) {
+          retained_end[retained[i].first] = -1;
+          retained_bytes -= retained[i].second;
+          retained[i] = retained.back();
+          retained.pop_back();
+        } else {
+          ++i;
+        }
       }
     }
     // Activate spans whose source access is this instance.
-    while (next_span != by_begin.end() && next_span->first <= pos) {
-      const RetentionSpan* s = next_span->second;
-      auto key = std::make_pair(s->array_id, s->block);
-      auto it = retained.find(key);
-      int64_t end = static_cast<int64_t>(s->end_group);
-      if (it == retained.end() || it->second < end) retained[key] = end;
-      ++next_span;
+    for (; next_span < rp.spans.size() && rp.spans[next_span].begin_pos <= pos;
+         ++next_span) {
+      const RetentionSpan& s = rp.spans[next_span];
+      const size_t id = block_base[static_cast<size_t>(s.array_id)] +
+                        static_cast<size_t>(s.block);
+      if (retained_end[id] < 0) {
+        const int64_t bytes = program.array(s.array_id).BlockBytes();
+        retained.emplace_back(id, bytes);
+        retained_bytes += bytes;
+      }
+      retained_end[id] =
+          std::max(retained_end[id], static_cast<int64_t>(s.end_group));
     }
     // Live set: this instance's blocks plus retained blocks.
-    const auto& inst = rp.order[pos];
-    const Statement& st = program.statement(inst.stmt_id);
-    std::set<std::pair<int, int64_t>> live;
-    for (const auto& a : st.accesses) {
-      if (!a.ActiveAt(inst.iter)) continue;
-      int64_t lin =
-          program.array(a.array_id).LinearBlockIndex(a.BlockAt(inst.iter));
-      live.insert({a.array_id, lin});
-    }
-    for (const auto& [key, end] : retained) live.insert(key);
-    int64_t bytes = 0;
-    for (const auto& [array_id, lin] : live) {
-      bytes += program.array(array_id).BlockBytes();
+    const Statement& st = program.statement(rp.order[pos].stmt_id);
+    int64_t bytes = retained_bytes;
+    for (size_t ai = 0; ai < st.accesses.size(); ++ai) {
+      const int64_t lin = rp.access_block[rp.access_begin[pos] + ai];
+      if (lin < 0) continue;
+      const Access& a = st.accesses[ai];
+      const size_t id = block_base[static_cast<size_t>(a.array_id)] +
+                        static_cast<size_t>(lin);
+      if (retained_end[id] >= 0 || live_stamp[id] == pos + 1) continue;
+      live_stamp[id] = pos + 1;
+      bytes += program.array(a.array_id).BlockBytes();
     }
     cost.peak_memory_bytes = std::max(cost.peak_memory_bytes, bytes);
   }

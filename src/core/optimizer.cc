@@ -86,7 +86,11 @@ std::vector<std::vector<int>> GenerateCandidates(
 
 OptimizationResult Optimize(const Program& program,
                             const OptimizerOptions& options) {
-  auto t0 = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  auto since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+  const auto t0 = Clock::now();
   // Multi-tenant hint: plan selection (and pressure simulation) happens
   // against the per-session slice of the pool, not the whole cap.
   const int sessions = std::max(1, options.concurrent_sessions);
@@ -115,7 +119,10 @@ OptimizationResult Optimize(const Program& program,
     session_cost.compute = it->second;
   }
   OptimizationResult result;
+  const auto analyze_start = Clock::now();
   result.analysis = AnalyzeProgram(program, options.analysis);
+  result.analyze_seconds = since(analyze_start);
+  const auto search_start = Clock::now();
   const auto& sharing = result.analysis.sharing;
   const int num_opps = static_cast<int>(sharing.size());
 
@@ -135,17 +142,15 @@ OptimizationResult Optimize(const Program& program,
     for (int oi : plan.opportunities) {
       q.push_back(&sharing[static_cast<size_t>(oi)]);
     }
+    const auto cost_start = Clock::now();
     plan.cost = EvaluatePlanCost(program, sched, q, enumerate_cost);
+    result.cost_seconds += since(cost_start);
     plan.schedule = std::move(sched);
     result.plans.push_back(std::move(plan));
   };
 
   // Plan 0: the unmodified original schedule.
   add_plan({}, program.original_schedule());
-
-  // Warm the per-statement instance cache before the parallel section (the
-  // cache is lazily built and not thread-safe to initialize concurrently).
-  for (const auto& s : program.statements()) program.InstancesOf(s.id);
 
   const size_t workers =
       options.num_threads > 0
@@ -197,6 +202,10 @@ OptimizationResult Optimize(const Program& program,
   result.ilp_calls = solver.stats().ilp_calls;
   result.lp_memo_hits = solver.stats().lp_memo_hits;
   result.ilp_memo_hits = solver.stats().ilp_memo_hits;
+  result.lp_witness_hits = solver.stats().lp_witness_hits;
+  result.search_seconds = since(search_start) - result.cost_seconds;
+
+  const auto select_start = Clock::now();
 
   // Best plan under the (per-session) memory cap.
   result.best_index = 0;
@@ -245,9 +254,8 @@ OptimizationResult Optimize(const Program& program,
     if (best_capped >= 0) result.best_index = best_capped;
   }
 
-  result.optimize_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.cost_seconds += since(select_start);
+  result.optimize_seconds = since(t0);
   return result;
 }
 

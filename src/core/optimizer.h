@@ -76,12 +76,19 @@ struct OptimizationResult {
   int64_t candidates_pruned = 0;   // skipped thanks to Apriori
   int64_t schedules_found = 0;
   // Schedule-solver work (SolverStats): requests, and how many of them the
-  // solver's memo answered without solving.
+  // solver answered from its memo or with a sampled witness row.
   int64_t lp_calls = 0;
   int64_t ilp_calls = 0;
   int64_t lp_memo_hits = 0;
   int64_t ilp_memo_hits = 0;
+  int64_t lp_witness_hits = 0;
   double optimize_seconds = 0.0;
+  // Wall time by phase: co-access analysis, schedule search (candidate
+  // generation and FindSchedule), and plan costing (EvaluatePlanCost, best
+  // plan selection and any memory-pressure simulation).
+  double analyze_seconds = 0.0;
+  double search_seconds = 0.0;
+  double cost_seconds = 0.0;
 
   const Plan& best() const { return plans[static_cast<size_t>(best_index)]; }
 };

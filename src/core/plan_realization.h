@@ -15,7 +15,7 @@
 #define RIOTSHARE_CORE_PLAN_REALIZATION_H_
 
 #include <cstdint>
-#include <set>
+#include <tuple>
 #include <vector>
 
 #include "analysis/coaccess.h"
@@ -23,19 +23,6 @@
 #include "ir/schedule.h"
 
 namespace riot {
-
-/// \brief Identifies one access of one statement instance.
-struct AccessInstanceKey {
-  int stmt_id;
-  std::vector<int64_t> iter;
-  int access_idx;
-
-  bool operator<(const AccessInstanceKey& o) const {
-    if (stmt_id != o.stmt_id) return stmt_id < o.stmt_id;
-    if (iter != o.iter) return iter < o.iter;
-    return access_idx < o.access_idx;
-  }
-};
 
 /// \brief A block that must stay in memory from the source access (at
 /// stream position begin_pos) until every group <= end_group completes.
@@ -53,14 +40,35 @@ struct RetentionSpan {
   }
 };
 
+/// Accesses are addressed by stream position: access `access_idx` of the
+/// instance at `pos` has the flat index access_begin[pos] + access_idx, and
+/// every per-access fact below is a flat vector over that index.
 struct RealizedPlan {
+  enum AccessFlag : uint8_t {
+    kSavedRead = 1,    // served from a retained in-memory block
+    kSavedWrite = 2,   // W->W overwrite elimination
+    kElidedWrite = 4,  // dead temporary materialization
+  };
+
   std::vector<ScheduledInstance> order;  // scheduled execution order
   std::vector<size_t> group_of;          // per position in `order`
   size_t num_groups = 0;
-  std::set<AccessInstanceKey> saved_reads;
-  std::set<AccessInstanceKey> saved_writes;   // W->W overwrite elimination
-  std::set<AccessInstanceKey> elided_writes;  // dead temporary materialization
+  /// order.size() + 1 prefix offsets: position pos owns flat accesses
+  /// [access_begin[pos], access_begin[pos + 1]), one per statement access.
+  std::vector<uint32_t> access_begin;
+  /// Per flat access: linear block index, or -1 when the access's guard
+  /// excludes this instance.
+  std::vector<int64_t> access_block;
+  /// Per flat access: AccessFlag bits.
+  std::vector<uint8_t> access_flags;
   std::vector<RetentionSpan> spans;
+
+  bool Has(size_t pos, int access_idx, AccessFlag flag) const {
+    return (access_flags[access_begin[pos] + static_cast<size_t>(access_idx)] &
+            flag) != 0;
+  }
+  /// Number of accesses carrying `flag`.
+  size_t Count(AccessFlag flag) const;
 };
 
 /// \brief Computes the realization of a plan.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "ilp/ilp.h"
 #include "ilp/simplex.h"
@@ -57,13 +58,60 @@ std::string ConstraintKey(const LpConstraint& c) {
   return os.str();
 }
 
-// Constraint rows with each row's ConstraintKey kept alongside, so memo
-// keys are built without re-stringifying Rationals.
-struct System {
+// A constraint row with integer coefficients, for checking witnesses
+// without Rational arithmetic. `exact` is false when some coefficient is
+// not an int64_t integer; such a row is never witnessed (the LP decides).
+struct IntRow {
+  std::vector<std::pair<uint32_t, int64_t>> terms;  // nonzero coefficients
+  int64_t rhs = 0;
+  CmpOp op = CmpOp::kEq;
+  bool exact = true;
+};
+
+IntRow ToIntRow(const LpConstraint& c) {
+  auto fits = [](const Rational& v) {
+    return v.IsInteger() && v.num() >= std::numeric_limits<int64_t>::min() &&
+           v.num() <= std::numeric_limits<int64_t>::max();
+  };
+  IntRow r;
+  r.op = c.op;
+  r.exact = fits(c.rhs);
+  if (r.exact) r.rhs = c.rhs.ToInt64();
+  for (size_t i = 0; i < c.coeffs.size() && r.exact; ++i) {
+    const Rational& v = c.coeffs[i];
+    if (v.IsZero()) continue;
+    r.exact = fits(v);
+    if (r.exact) r.terms.emplace_back(static_cast<uint32_t>(i), v.ToInt64());
+  }
+  return r;
+}
+
+bool Satisfies(const IntRow& r, const std::vector<int64_t>& x) {
+  __int128 lhs = 0;
+  for (const auto& [i, v] : r.terms) lhs += static_cast<__int128>(v) * x[i];
+  switch (r.op) {
+    case CmpOp::kLe:
+      return lhs <= r.rhs;
+    case CmpOp::kGe:
+      return lhs >= r.rhs;
+    case CmpOp::kEq:
+      return lhs == r.rhs;
+  }
+  return false;
+}
+
+}  // namespace
+
+// Constraint rows with each row's ConstraintKey and integer form kept
+// alongside, so memo keys are built without re-stringifying Rationals and
+// witnesses are checked without Rational arithmetic.
+struct ConstraintSystem {
   std::vector<LpConstraint> cons;
   std::vector<std::string> keys;
+  std::vector<IntRow> ints;
 
   void Push(LpConstraint c, std::string key) {
+    ints.push_back(ToIntRow(c));
     cons.push_back(std::move(c));
     keys.push_back(std::move(key));
   }
@@ -74,8 +122,17 @@ struct System {
   void Pop() {
     cons.pop_back();
     keys.pop_back();
+    ints.pop_back();
+  }
+  /// True when every row is exact and `x` satisfies it.
+  bool SatisfiedBy(const std::vector<int64_t>& x) const {
+    return std::all_of(ints.begin(), ints.end(), [&](const IntRow& r) {
+      return r.exact && Satisfies(r, x);
+    });
   }
 };
+
+namespace {
 
 // Constraint pool with deduplication (many instance pairs induce the same
 // linear constraint on schedule coefficients).
@@ -85,7 +142,7 @@ class Pool {
     std::string key = ConstraintKey(c);
     if (seen_.insert(key).second) sys_.Push(std::move(c), std::move(key));
   }
-  const System& system() const { return sys_; }
+  const ConstraintSystem& system() const { return sys_; }
   size_t size() const { return sys_.cons.size(); }
   void TruncateTo(size_t n) {
     while (size() > n) {
@@ -95,7 +152,7 @@ class Pool {
   }
 
  private:
-  System sys_;
+  ConstraintSystem sys_;
   std::set<std::string> seen_;
 };
 
@@ -121,12 +178,29 @@ ScheduleSolver::ScheduleSolver(const Program& program,
   }
 }
 
-bool ScheduleSolver::Feasible(const std::vector<LpConstraint>& cons,
-                              const std::vector<std::string>& keys) const {
+template <typename V>
+bool ScheduleSolver::Claim(FlightMap<V>& memo, std::string key,
+                           UniqueMutexLock& lock, Flight<V>** entry) const {
+  auto [it, inserted] = memo.try_emplace(std::move(key));
+  *entry = &it->second;  // entries never move; iterators may
+  if (inserted) return true;
+  while (!(*entry)->done) memo_cv_.Wait(lock);
+  return false;
+}
+
+template <typename V>
+void ScheduleSolver::Publish(Flight<V>* entry, V value) const {
+  entry->value = std::move(value);
+  entry->done = true;
+  memo_cv_.NotifyAll();
+}
+
+bool ScheduleSolver::Feasible(const ConstraintSystem& sys,
+                              size_t level) const {
   ++stats_.lp_calls;
   std::vector<const std::string*> sorted;
-  sorted.reserve(keys.size());
-  for (const std::string& k : keys) sorted.push_back(&k);
+  sorted.reserve(sys.keys.size());
+  for (const std::string& k : sys.keys) sorted.push_back(&k);
   std::sort(sorted.begin(), sorted.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
   sorted.erase(std::unique(sorted.begin(), sorted.end(),
@@ -136,48 +210,64 @@ bool ScheduleSolver::Feasible(const std::vector<LpConstraint>& cons,
                sorted.end());
   std::string key;  // '\n' never occurs inside a row key
   for (const std::string* k : sorted) key.append(*k) += '\n';
+  Flight<bool>* entry = nullptr;
+  std::vector<const std::vector<int64_t>*> witnesses;
   {
-    MutexLock lock(&memo_mu_);
-    auto it = lp_memo_.find(key);
-    if (it != lp_memo_.end()) {
+    UniqueMutexLock lock(&memo_mu_);
+    if (!Claim(lp_memo_, std::move(key), lock, &entry)) {
       ++stats_.lp_memo_hits;
-      return it->second;
+      return entry->value;
+    }
+    for (const auto& [row_level, row] : witnesses_) {
+      if (row_level < level) witnesses.push_back(row);
     }
   }
-  auto f = LpFeasible(var_bounds_.size(), cons);
-  if (!f.ok()) {
-    // Pivot budget exhausted: treat the candidate row as infeasible —
-    // the solver simply fails to find a schedule for this combination
-    // rather than hanging or aborting the whole optimization.
-    RIOT_LOG(Warning) << "schedule LP gave up: " << f.status().ToString();
+  bool feasible = false;
+  if (std::any_of(witnesses.rbegin(), witnesses.rend(),
+                  [&](const std::vector<int64_t>* row) {
+                    return sys.SatisfiedBy(*row);
+                  })) {
+    ++stats_.lp_witness_hits;
+    feasible = true;
+  } else {
+    auto f = LpFeasible(var_bounds_.size(), sys.cons);
+    if (!f.ok()) {
+      // Pivot budget exhausted: treat the candidate row as infeasible —
+      // the solver simply fails to find a schedule for this combination
+      // rather than hanging or aborting the whole optimization.
+      RIOT_LOG(Warning) << "schedule LP gave up: " << f.status().ToString();
+    }
+    feasible = f.ok() && *f;
   }
-  const bool feasible = f.ok() && *f;
   MutexLock lock(&memo_mu_);
-  lp_memo_.emplace(std::move(key), feasible);
+  Publish(entry, feasible);
   return feasible;
 }
 
 std::optional<std::vector<int64_t>> ScheduleSolver::SampleRow(
-    const std::vector<LpConstraint>& cons,
-    const std::vector<std::string>& keys) const {
+    const ConstraintSystem& sys, size_t level) const {
   ++stats_.ilp_calls;
   std::string key;
-  for (const std::string& k : keys) key.append(k) += '\n';
+  for (const std::string& k : sys.keys) key.append(k) += '\n';
+  Flight<std::optional<std::vector<int64_t>>>* entry = nullptr;
   {
-    MutexLock lock(&memo_mu_);
-    auto it = ilp_memo_.find(key);
-    if (it != ilp_memo_.end()) {
+    UniqueMutexLock lock(&memo_mu_);
+    if (!Claim(ilp_memo_, std::move(key), lock, &entry)) {
       ++stats_.ilp_memo_hits;
-      return it->second;
+      return entry->value;
     }
   }
   IlpOptions io;
   io.var_bound = opts_.coeff_bound;
   io.var_bounds = var_bounds_;
-  auto row = FindIntegerPoint(var_bounds_.size(), cons,
+  auto row = FindIntegerPoint(var_bounds_.size(), sys.cons,
                               /*minimize_l1=*/true, io);
   MutexLock lock(&memo_mu_);
-  ilp_memo_.emplace(std::move(key), row);
+  if (row) {
+    auto [it, inserted] = witness_rows_.insert(*row);
+    if (inserted) witnesses_.emplace_back(level, &*it);
+  }
+  Publish(entry, row);
   return row;
 }
 
@@ -190,8 +280,8 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
   std::vector<std::vector<std::vector<int64_t>>> rows(n);  // sampled, per stmt
   std::vector<size_t> ki(n, 0);  // independent rows so far
   std::vector<bool> dep_satisfied(deps_.size(), false);
-  auto feasible = [&](const System& sys) {
-    return Feasible(sys.cons, sys.keys);
+  auto feasible = [&](const ConstraintSystem& sys) {
+    return Feasible(sys, q.size());
   };
 
   for (size_t d = 1; d <= dmax; ++d) {
@@ -294,7 +384,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
         if (ok && l == 1) {
           // Additionally require that a nonzero iteration part exists.
           ok = false;
-          System cs = pool.system();
+          ConstraintSystem cs = pool.system();
           for (size_t j = 0; j < ds && !ok; ++j) {
             for (int sign : {+1, -1}) {
               RVector c(layout.dim);
@@ -341,10 +431,11 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
     }
 
     // Sample an integer row (line 44), honoring nonzero groups via DFS.
-    std::function<std::optional<std::vector<int64_t>>(System&, size_t)>
-        sample = [&](System& cs,
+    std::function<std::optional<std::vector<int64_t>>(ConstraintSystem&,
+                                                      size_t)>
+        sample = [&](ConstraintSystem& cs,
                      size_t gi) -> std::optional<std::vector<int64_t>> {
-      if (gi == nonzero_groups.size()) return SampleRow(cs.cons, cs.keys);
+      if (gi == nonzero_groups.size()) return SampleRow(cs, q.size());
       for (size_t v : nonzero_groups[gi]) {
         for (int sign : {+1, -1}) {
           RVector c(layout.dim);
@@ -360,7 +451,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
       }
       return std::nullopt;
     };
-    System cs = pool.system();
+    ConstraintSystem cs = pool.system();
     auto row = sample(cs, 0);
     if (!row) return std::nullopt;
     for (size_t i = 0; i < n; ++i) rows[i].push_back(*row);
@@ -464,6 +555,20 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
 }
 
 bool ScheduleSolver::IsLegal(const Schedule& sched) const {
+  Flight<bool>* entry = nullptr;
+  {
+    UniqueMutexLock lock(&memo_mu_);
+    if (!Claim(legal_memo_, sched.ToString(), lock, &entry)) {
+      return entry->value;
+    }
+  }
+  const bool legal = CheckLegal(sched);
+  MutexLock lock(&memo_mu_);
+  Publish(entry, legal);
+  return legal;
+}
+
+bool ScheduleSolver::CheckLegal(const Schedule& sched) const {
   // Dependence order.
   for (const auto& dep : deps_) {
     for (const auto& pr : dep.pairs) {

@@ -17,8 +17,10 @@
 
 #include <atomic>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/coaccess.h"
@@ -34,14 +36,21 @@ struct SolverOptions {
   int64_t coeff_bound = 3;
 };
 
-/// Calls count every request, memo hits included; the exact solver ran
-/// `calls - memo_hits` times.
+/// Calls count every request. A memo hit is a request answered by an
+/// answer another request stored or was computing; a witness hit is an LP
+/// request answered by an integer row sampled earlier. The exact solvers
+/// ran `lp_calls - lp_memo_hits - lp_witness_hits` and
+/// `ilp_calls - ilp_memo_hits` times.
 struct SolverStats {
   std::atomic<int64_t> lp_calls{0};   // feasibility checks
   std::atomic<int64_t> ilp_calls{0};  // integer row samples
   std::atomic<int64_t> lp_memo_hits{0};
   std::atomic<int64_t> ilp_memo_hits{0};
+  std::atomic<int64_t> lp_witness_hits{0};
 };
+
+/// Constraint rows of one schedule-row system (schedule_solver.cc).
+struct ConstraintSystem;
 
 class ScheduleSolver {
  public:
@@ -49,15 +58,27 @@ class ScheduleSolver {
                  SolverOptions options = {});
 
   /// Attempts to find a legal schedule realizing all opportunities in q.
-  /// Thread-safe. LP and ILP answers are memoized for the solver's
-  /// lifetime, so candidates that rebuild the same constraint systems
-  /// solve each system once; results do not depend on the memo's state.
+  /// Thread-safe, and the answer does not depend on what the solver saw
+  /// before (barring an LP pivot-budget give-up, see memo_mu_). Three memos
+  /// last the solver's lifetime, so candidates that
+  /// rebuild the same systems solve each one once:
+  ///   * LP feasibility, keyed on the set of rows. Before solving a
+  ///     system, the solver tries the integer rows it has sampled as
+  ///     witnesses: a point satisfying every row proves the system
+  ///     feasible. A call with |q| = k tries only rows sampled for
+  ///     smaller candidates, so when candidates arrive level by level
+  ///     (Apriori), which requests a witness answers does not depend on
+  ///     the thread count.
+  ///   * ILP row samples, keyed on the rows in order.
+  ///   * IsLegal, keyed on Schedule::ToString.
+  /// Each memo is single-flight: a thread that misses on a key another
+  /// thread is solving waits for that answer instead of solving it again.
   std::optional<Schedule> FindSchedule(
       const std::vector<const CoAccess*>& q) const EXCLUDES(memo_mu_);
 
   /// Exact legality check: every dependence pair strictly ordered and all
-  /// instance times unique under `sched`.
-  bool IsLegal(const Schedule& sched) const;
+  /// instance times unique under `sched`. Memoized per distinct schedule.
+  bool IsLegal(const Schedule& sched) const EXCLUDES(memo_mu_);
 
   /// Exact realization check of Table 1 for one opportunity under `sched`
   /// (used by tests and by FindSchedule's final verification).
@@ -67,30 +88,56 @@ class ScheduleSolver {
   SolverStats& stats() const { return stats_; }
 
  private:
-  // Both take the rows together with each row's ConstraintKey.
-  /// Exact feasibility of `cons`, memoized on the set of its rows:
+  /// A memo entry: `value` is valid once `done`.
+  template <typename V>
+  struct Flight {
+    bool done = false;
+    V value{};
+  };
+  template <typename V>
+  using FlightMap = std::unordered_map<std::string, Flight<V>>;
+
+  /// Exact feasibility of `sys`, memoized on the set of its rows:
   /// feasibility is a property of the set, not of the rows' order.
-  bool Feasible(const std::vector<LpConstraint>& cons,
-                const std::vector<std::string>& keys) const
+  /// `level` is the candidate size |q| of the calling FindSchedule.
+  bool Feasible(const ConstraintSystem& sys, size_t level) const
       EXCLUDES(memo_mu_);
-  /// Minimum-L1 integer point of `cons`, memoized on its rows in order:
-  /// branch-and-bound breaks ties by row order.
+  /// Minimum-L1 integer point of `sys`, memoized on its rows in order:
+  /// branch-and-bound breaks ties by row order. A row found joins the
+  /// witness pool tagged with `level`.
   std::optional<std::vector<int64_t>> SampleRow(
-      const std::vector<LpConstraint>& cons,
-      const std::vector<std::string>& keys) const EXCLUDES(memo_mu_);
+      const ConstraintSystem& sys, size_t level) const
+      EXCLUDES(memo_mu_);
+  bool CheckLegal(const Schedule& sched) const;
+  /// Finds or inserts `key`'s entry. Returns true when the caller inserted
+  /// it and must compute and Publish its value; otherwise waits until the
+  /// entry is done and returns false.
+  template <typename V>
+  bool Claim(FlightMap<V>& memo, std::string key, UniqueMutexLock& lock,
+             Flight<V>** entry) const REQUIRES(memo_mu_);
+  template <typename V>
+  void Publish(Flight<V>* entry, V value) const REQUIRES(memo_mu_);
 
   const Program& prog_;
   std::vector<CoAccess> deps_;
   SolverOptions opts_;
   std::vector<int64_t> var_bounds_;  // ILP box per schedule-row coefficient
   mutable SolverStats stats_;
-  // Every entry is a deterministic function of its key, so threads racing
-  // to fill one store the same answer. A pivot-budget give-up is stored
-  // as infeasible.
+  // Every entry is a deterministic function of its key. An LP that hits
+  // its pivot budget is stored as infeasible, unless a witness answered
+  // the key first.
   mutable Mutex memo_mu_;
-  mutable std::unordered_map<std::string, bool> lp_memo_ GUARDED_BY(memo_mu_);
-  mutable std::unordered_map<std::string, std::optional<std::vector<int64_t>>>
-      ilp_memo_ GUARDED_BY(memo_mu_);
+  mutable CondVar memo_cv_;  // signalled when an entry becomes done
+  mutable FlightMap<bool> lp_memo_ GUARDED_BY(memo_mu_);
+  mutable FlightMap<std::optional<std::vector<int64_t>>> ilp_memo_
+      GUARDED_BY(memo_mu_);
+  mutable FlightMap<bool> legal_memo_ GUARDED_BY(memo_mu_);
+  // Witness pool: every distinct sampled row, and in insertion order each
+  // with the level that first sampled it. Append-only; set nodes never
+  // move, so a row read through `witnesses_` stays valid unlocked.
+  mutable std::set<std::vector<int64_t>> witness_rows_ GUARDED_BY(memo_mu_);
+  mutable std::vector<std::pair<size_t, const std::vector<int64_t>*>>
+      witnesses_ GUARDED_BY(memo_mu_);
 };
 
 }  // namespace riot

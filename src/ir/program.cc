@@ -55,10 +55,34 @@ void Program::FinalizeOriginalSchedule() {
 
 const std::vector<std::vector<int64_t>>& Program::InstancesOf(
     int stmt_id) const {
+  MutexLock lock(&cache_.mu);
   instance_cache_.resize(stmts_.size());
   auto& slot = instance_cache_[static_cast<size_t>(stmt_id)];
   if (!slot.has_value()) {
     slot = statement(stmt_id).domain.EnumerateIntegerPoints();
+    // Enumeration fixes variables outermost-first in ascending order;
+    // plan realization binary-searches instances and relies on it.
+    RIOT_CHECK(std::is_sorted(slot->begin(), slot->end()));
+  }
+  return *slot;
+}
+
+const std::vector<int64_t>& Program::InstanceBlocks(int stmt_id) const {
+  const auto& instances = InstancesOf(stmt_id);
+  MutexLock lock(&cache_.mu);
+  block_cache_.resize(stmts_.size());
+  auto& slot = block_cache_[static_cast<size_t>(stmt_id)];
+  if (!slot.has_value()) {
+    const Statement& st = statement(stmt_id);
+    slot.emplace();
+    for (const auto& iter : instances) {
+      for (const Access& a : st.accesses) {
+        slot->push_back(
+            a.ActiveAt(iter)
+                ? array(a.array_id).LinearBlockIndex(a.BlockAt(iter))
+                : -1);
+      }
+    }
   }
   return *slot;
 }

@@ -16,6 +16,7 @@
 #include "ir/statement_op.h"
 #include "polyhedral/polyhedron.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace riot {
 
@@ -78,9 +79,18 @@ class Program {
   /// variables outer-to-inner, textual constant).
   const Schedule& original_schedule() const { return original_; }
 
-  /// All instances of statement `stmt_id` (domain enumeration; cached, as
-  /// domains are immutable once added).
-  const std::vector<std::vector<int64_t>>& InstancesOf(int stmt_id) const;
+  /// All instances of statement `stmt_id` in ascending lexicographic order
+  /// (domain enumeration; cached, as domains are immutable once added).
+  /// Thread-safe.
+  const std::vector<std::vector<int64_t>>& InstancesOf(int stmt_id) const
+      EXCLUDES(cache_.mu);
+
+  /// Linear block index of every access at every instance, row-major
+  /// [instance index][access index]; -1 where the access's guard excludes
+  /// the instance. Schedule-independent, so it is computed once and cached
+  /// like InstancesOf. Thread-safe.
+  const std::vector<int64_t>& InstanceBlocks(int stmt_id) const
+      EXCLUDES(cache_.mu);
 
   /// Every statement instance with its time under `sched`, sorted by
   /// (time, stmt_id, iter). A legal schedule never produces duplicate times
@@ -104,8 +114,20 @@ class Program {
   std::vector<Statement> stmts_;
   std::vector<std::pair<int, int>> positions_;  // (nest_index, textual_pos)
   Schedule original_;
+  // The lazily filled caches below are shared by every thread that plans
+  // or runs this program; the first use fills them under the lock. A
+  // copied Program gets a fresh mutex.
+  struct CacheMutex {
+    CacheMutex() = default;
+    CacheMutex(const CacheMutex&) {}
+    CacheMutex& operator=(const CacheMutex&) { return *this; }
+    Mutex mu;
+  };
+  mutable CacheMutex cache_;
   mutable std::vector<std::optional<std::vector<std::vector<int64_t>>>>
-      instance_cache_;
+      instance_cache_ GUARDED_BY(cache_.mu);
+  mutable std::vector<std::optional<std::vector<int64_t>>> block_cache_
+      GUARDED_BY(cache_.mu);
 };
 
 }  // namespace riot

@@ -73,8 +73,9 @@ TEST(AccessScriptTest, SavedFlagsMatchRealization) {
     if (r.type == AccessType::kRead && r.saved) ++saved_reads;
     if (r.type == AccessType::kWrite && r.saved) ++saved_writes;
   }
-  EXPECT_EQ(saved_reads, rp.saved_reads.size());
-  EXPECT_EQ(saved_writes, rp.saved_writes.size() + rp.elided_writes.size());
+  EXPECT_EQ(saved_reads, rp.Count(RealizedPlan::kSavedRead));
+  EXPECT_EQ(saved_writes, rp.Count(RealizedPlan::kSavedWrite) +
+                              rp.Count(RealizedPlan::kElidedWrite));
 
   // Every retention span's source position carries the retention.
   std::map<std::tuple<size_t, int, int64_t>, int64_t> want;

@@ -168,7 +168,7 @@ TEST(PlanRealizationTest, GroupsFollowTimePrefix) {
   for (size_t i = 1; i < rp.order.size(); ++i) {
     EXPECT_GE(rp.group_of[i], rp.group_of[i - 1]);
   }
-  EXPECT_EQ(rp.saved_reads.size(), 0u);
+  EXPECT_EQ(rp.Count(RealizedPlan::kSavedRead), 0u);
   EXPECT_EQ(rp.spans.size(), 0u);
 }
 
@@ -248,13 +248,13 @@ TEST(PlanRealizationTest, WWSaveRequiresMemoryServedReadsBetween) {
   auto s = solver.FindSchedule({ww});
   ASSERT_TRUE(s.has_value());
   RealizedPlan rp = RealizePlan(w.program, *s, {ww});
-  EXPECT_TRUE(rp.saved_writes.empty());
+  EXPECT_EQ(rp.Count(RealizedPlan::kSavedWrite), 0u);
   // With the companion W->R realized, the W->W saves kick in.
   const CoAccess* wr = Find(a.sharing, w.program, "s2WE->s2RE");
   auto s2 = solver.FindSchedule({ww, wr});
   ASSERT_TRUE(s2.has_value());
   RealizedPlan rp2 = RealizePlan(w.program, *s2, {ww, wr});
-  EXPECT_FALSE(rp2.saved_writes.empty());
+  EXPECT_GT(rp2.Count(RealizedPlan::kSavedWrite), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "analysis/coaccess.h"
 #include "core/optimizer.h"
@@ -156,8 +159,10 @@ TEST(SolverDepthOne, LinRegPipelineSchedulable) {
 }
 
 // Memo differential: a solver shared by every candidate of an Apriori
-// search (warm memo) must answer exactly like a fresh solver per candidate
-// (cold memo), and Optimize must not depend on which thread fills the memo.
+// search (warm memo and witness pool) must answer exactly like a fresh
+// solver per candidate (cold), and Optimize must not depend on which thread
+// fills the memo: with single-flight memos and level-scoped witnesses, even
+// the count of real LP and ILP solves is the same at 1 and 4 threads.
 struct MemoCase {
   const char* name;
   std::function<Workload()> make;
@@ -229,7 +234,9 @@ TEST_P(SolverMemoTest, WarmMemoMatchesColdSolverOnEveryAprioriCandidate) {
   EXPECT_GT(tested, 1);
   EXPECT_GT(warm.stats().lp_memo_hits.load(), 0) << mc.name;
   EXPECT_GT(warm.stats().ilp_memo_hits.load(), 0) << mc.name;
-  EXPECT_LT(warm.stats().lp_memo_hits.load(), warm.stats().lp_calls.load());
+  EXPECT_LT(warm.stats().lp_memo_hits.load() +
+                warm.stats().lp_witness_hits.load(),
+            warm.stats().lp_calls.load());
 }
 
 TEST_P(SolverMemoTest, OptimizeIdenticalAtOneAndFourThreads) {
@@ -244,11 +251,17 @@ TEST_P(SolverMemoTest, OptimizeIdenticalAtOneAndFourThreads) {
   OptimizationResult rp = Optimize(w.program, parallel);
   EXPECT_EQ(rs.best_index, rp.best_index);
   EXPECT_EQ(rs.candidates_tested, rp.candidates_tested);
-  // Memo hits may differ under racing fills; the requests may not.
   EXPECT_EQ(rs.lp_calls, rp.lp_calls);
   EXPECT_EQ(rs.ilp_calls, rp.ilp_calls);
+  // Single flight: a racing thread waits for the answer instead of solving
+  // the key again, so every key is solved (or witnessed) exactly once.
+  EXPECT_EQ(rs.lp_memo_hits, rp.lp_memo_hits);
+  EXPECT_EQ(rs.ilp_memo_hits, rp.ilp_memo_hits);
+  EXPECT_EQ(rs.lp_witness_hits, rp.lp_witness_hits);
+  EXPECT_EQ(rs.lp_calls - rs.lp_memo_hits - rs.lp_witness_hits,
+            rp.lp_calls - rp.lp_memo_hits - rp.lp_witness_hits);
+  EXPECT_EQ(rs.ilp_calls - rs.ilp_memo_hits, rp.ilp_calls - rp.ilp_memo_hits);
   EXPECT_GT(rs.lp_memo_hits, 0);
-  EXPECT_GT(rp.lp_memo_hits, 0);
   ASSERT_EQ(rs.plans.size(), rp.plans.size());
   for (size_t i = 0; i < rs.plans.size(); ++i) {
     const Plan& ps = rs.plans[i];
@@ -262,6 +275,41 @@ TEST_P(SolverMemoTest, OptimizeIdenticalAtOneAndFourThreads) {
     EXPECT_EQ(ps.cost.peak_memory_bytes, pp.cost.peak_memory_bytes)
         << "plan " << i;
     EXPECT_EQ(ps.cost.io_seconds, pp.cost.io_seconds) << "plan " << i;
+  }
+}
+
+// Four threads asking one fresh solver for the same candidate at once
+// solve each system once: the real solves equal one lone request's.
+TEST_P(SolverMemoTest, RacingRequestsForOneCandidateSolveEachSystemOnce) {
+  const MemoCase& mc = GetParam();
+  Workload w = mc.make();
+  AnalysisResult a = AnalyzeProgram(w.program);
+  for (size_t oi = 0; oi < a.sharing.size(); ++oi) {
+    const std::vector<const CoAccess*> q = {&a.sharing[oi]};
+    ScheduleSolver lone(w.program, a.dependences);
+    const auto expected = lone.FindSchedule(q);
+    ScheduleSolver raced(w.program, a.dependences);
+    std::vector<std::optional<Schedule>> got(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < got.size(); ++t) {
+      threads.emplace_back([&, t] { got[t] = raced.FindSchedule(q); });
+    }
+    for (auto& t : threads) t.join();
+    for (const auto& g : got) {
+      ASSERT_EQ(g.has_value(), expected.has_value()) << mc.name << " " << oi;
+      if (g) EXPECT_EQ(g->ToString(), expected->ToString());
+    }
+    const SolverStats& ls = lone.stats();
+    const SolverStats& rs = raced.stats();
+    EXPECT_EQ(rs.lp_calls.load(), 4 * ls.lp_calls.load());
+    EXPECT_EQ(rs.lp_calls.load() - rs.lp_memo_hits.load() -
+                  rs.lp_witness_hits.load(),
+              ls.lp_calls.load() - ls.lp_memo_hits.load() -
+                  ls.lp_witness_hits.load())
+        << mc.name << " " << oi;
+    EXPECT_EQ(rs.ilp_calls.load() - rs.ilp_memo_hits.load(),
+              ls.ilp_calls.load() - ls.ilp_memo_hits.load())
+        << mc.name << " " << oi;
   }
 }
 
