@@ -157,7 +157,7 @@ void BenchJson::AddOptimization(const std::string& program,
       r.search_seconds, r.cost_seconds, r.candidates_tested,
       r.candidates_pruned, r.schedules_found,
       static_cast<int64_t>(r.plans.size()), r.lp_calls, r.ilp_calls,
-      r.lp_memo_hits, r.ilp_memo_hits, r.lp_witness_hits});
+      r.lp_memo_hits, r.ilp_memo_hits, r.lp_witness_hits, r.lp_pivots});
 }
 
 namespace {
@@ -248,7 +248,7 @@ void BenchJson::Flush() {
           "\"candidates_pruned\": %lld, \"schedules_found\": %lld, "
           "\"plans\": %lld, \"lp_calls\": %lld, \"ilp_calls\": %lld, "
           "\"lp_memo_hits\": %lld, \"ilp_memo_hits\": %lld, "
-          "\"lp_witness_hits\": %lld}%s\n",
+          "\"lp_witness_hits\": %lld, \"lp_pivots\": %lld}%s\n",
           JsonEscape(e.program).c_str(), JsonEscape(e.kind).c_str(),
           e.threads, e.seconds, e.analyze_seconds, e.search_seconds,
           e.cost_seconds, static_cast<long long>(e.tested),
@@ -259,6 +259,7 @@ void BenchJson::Flush() {
           static_cast<long long>(e.lp_memo_hits),
           static_cast<long long>(e.ilp_memo_hits),
           static_cast<long long>(e.lp_witness_hits),
+          static_cast<long long>(e.lp_pivots),
           i + 1 < opt_entries_.size() ? "," : "");
       f << buf;
     }

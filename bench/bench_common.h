@@ -79,7 +79,7 @@ class BenchJson {
     double seconds, analyze_seconds, search_seconds, cost_seconds;
     int64_t tested, pruned, found, plans;
     int64_t lp_calls, ilp_calls, lp_memo_hits, ilp_memo_hits;
-    int64_t lp_witness_hits;
+    int64_t lp_witness_hits, lp_pivots;
   };
   std::string bench_;
   std::string path_;

@@ -5,8 +5,8 @@
 // exhaustive power-set enumeration and shows that optimization time is
 // independent of data scale. `--json <path>` records every Optimize call
 // with its candidate counts, per-phase seconds and schedule-solver work
-// (LP/ILP calls, memo and witness hits); scripts/bench_json.sh writes it to
-// BENCH_opt.json.
+// (LP/ILP calls, memo and witness hits, simplex pivots);
+// scripts/bench_json.sh writes it to BENCH_opt.json.
 #include <algorithm>
 #include <cstdio>
 #include <thread>
@@ -26,12 +26,13 @@ void PrintSolverWork(const OptimizationResult& r) {
   std::printf("  phases: analyze=%.3fs search=%.3fs cost=%.3fs\n",
               r.analyze_seconds, r.search_seconds, r.cost_seconds);
   std::printf("  solver: lp=%lld (memo hits %lld, witness hits %lld)  "
-              "ilp=%lld (memo hits %lld)\n",
+              "ilp=%lld (memo hits %lld)  pivots=%lld\n",
               static_cast<long long>(r.lp_calls),
               static_cast<long long>(r.lp_memo_hits),
               static_cast<long long>(r.lp_witness_hits),
               static_cast<long long>(r.ilp_calls),
-              static_cast<long long>(r.ilp_memo_hits));
+              static_cast<long long>(r.ilp_memo_hits),
+              static_cast<long long>(r.lp_pivots));
 }
 
 void Report(const char* name, Workload w, double paper_seconds,

@@ -11,8 +11,9 @@ solves are the requests the exact solvers ran:
     real LP  = lp_calls - lp_memo_hits - lp_witness_hits
     real ILP = ilp_calls - ilp_memo_hits
 
-Fields a file does not record (phases and witness hits predate some files)
-print as "-" (witness hits count as 0). This is a report for reading, not a
+and the simplex pivots those solves made (lp_pivots). Fields a file does
+not record (phases, witness hits and pivots predate some files) print as
+"-" (witness hits count as 0). This is a report for reading, not a
 gate: it always exits 0 once both files parse.
 """
 import json
@@ -43,6 +44,7 @@ COLUMNS = [
     ("cost_s", lambda e: e.get("cost_seconds"), "{:.3f}"),
     ("real_lp", real_lp, "{:d}"),
     ("real_ilp", real_ilp, "{:d}"),
+    ("pivots", lambda e: e.get("lp_pivots"), "{:d}"),
 ]
 
 

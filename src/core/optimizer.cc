@@ -203,6 +203,7 @@ OptimizationResult Optimize(const Program& program,
   result.lp_memo_hits = solver.stats().lp_memo_hits;
   result.ilp_memo_hits = solver.stats().ilp_memo_hits;
   result.lp_witness_hits = solver.stats().lp_witness_hits;
+  result.lp_pivots = solver.stats().lp_pivots;
   result.search_seconds = since(search_start) - result.cost_seconds;
 
   const auto select_start = Clock::now();

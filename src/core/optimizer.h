@@ -75,13 +75,15 @@ struct OptimizationResult {
   int64_t candidates_tested = 0;
   int64_t candidates_pruned = 0;   // skipped thanks to Apriori
   int64_t schedules_found = 0;
-  // Schedule-solver work (SolverStats): requests, and how many of them the
-  // solver answered from its memo or with a sampled witness row.
+  // Schedule-solver work (SolverStats): requests, how many of them the
+  // solver answered from its memo or with a sampled witness row, and the
+  // simplex pivots of the LPs and ILP relaxations it did solve.
   int64_t lp_calls = 0;
   int64_t ilp_calls = 0;
   int64_t lp_memo_hits = 0;
   int64_t ilp_memo_hits = 0;
   int64_t lp_witness_hits = 0;
+  int64_t lp_pivots = 0;
   double optimize_seconds = 0.0;
   // Wall time by phase: co-access analysis, schedule search (candidate
   // generation and FindSchedule), and plan costing (EvaluatePlanCost, best

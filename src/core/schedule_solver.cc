@@ -230,14 +230,17 @@ bool ScheduleSolver::Feasible(const ConstraintSystem& sys,
     ++stats_.lp_witness_hits;
     feasible = true;
   } else {
-    auto f = LpFeasible(var_bounds_.size(), sys.cons);
-    if (!f.ok()) {
+    auto lp = SolveLp(var_bounds_.size(), sys.cons,
+                      RVector(var_bounds_.size()));
+    if (!lp.ok()) {
       // Pivot budget exhausted: treat the candidate row as infeasible —
       // the solver simply fails to find a schedule for this combination
       // rather than hanging or aborting the whole optimization.
-      RIOT_LOG(Warning) << "schedule LP gave up: " << f.status().ToString();
+      RIOT_LOG(Warning) << "schedule LP gave up: " << lp.status().ToString();
+    } else {
+      stats_.lp_pivots += lp->pivots;
+      feasible = lp->status == LpStatus::kOptimal;
     }
-    feasible = f.ok() && *f;
   }
   MutexLock lock(&memo_mu_);
   Publish(entry, feasible);
@@ -260,8 +263,10 @@ std::optional<std::vector<int64_t>> ScheduleSolver::SampleRow(
   IlpOptions io;
   io.var_bound = opts_.coeff_bound;
   io.var_bounds = var_bounds_;
+  int64_t pivots = 0;
   auto row = FindIntegerPoint(var_bounds_.size(), sys.cons,
-                              /*minimize_l1=*/true, io);
+                              /*minimize_l1=*/true, io, &pivots);
+  stats_.lp_pivots += pivots;
   MutexLock lock(&memo_mu_);
   if (row) {
     auto [it, inserted] = witness_rows_.insert(*row);

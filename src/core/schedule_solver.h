@@ -40,13 +40,15 @@ struct SolverOptions {
 /// answer another request stored or was computing; a witness hit is an LP
 /// request answered by an integer row sampled earlier. The exact solvers
 /// ran `lp_calls - lp_memo_hits - lp_witness_hits` and
-/// `ilp_calls - ilp_memo_hits` times.
+/// `ilp_calls - ilp_memo_hits` times, and made `lp_pivots` simplex pivots
+/// between them (feasibility LPs and ILP relaxations).
 struct SolverStats {
   std::atomic<int64_t> lp_calls{0};   // feasibility checks
   std::atomic<int64_t> ilp_calls{0};  // integer row samples
   std::atomic<int64_t> lp_memo_hits{0};
   std::atomic<int64_t> ilp_memo_hits{0};
   std::atomic<int64_t> lp_witness_hits{0};
+  std::atomic<int64_t> lp_pivots{0};
 };
 
 /// Constraint rows of one schedule-row system (schedule_solver.cc).

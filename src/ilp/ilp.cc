@@ -59,6 +59,7 @@ IlpResult SolveIlp(size_t num_vars, const std::vector<LpConstraint>& cons,
       break;
     }
     const LpSolution& relax = *relax_or;
+    best.lp_pivots += relax.pivots;
     if (relax.status != LpStatus::kOptimal) continue;  // infeasible subtree
     if (best.feasible && relax.objective <= best.objective) continue;  // bound
     if (IsIntegral(relax.x)) {
@@ -92,10 +93,11 @@ IlpResult SolveIlp(size_t num_vars, const std::vector<LpConstraint>& cons,
 
 std::optional<std::vector<int64_t>> FindIntegerPoint(
     size_t num_vars, const std::vector<LpConstraint>& cons, bool minimize_l1,
-    const IlpOptions& options) {
+    const IlpOptions& options, int64_t* lp_pivots) {
   if (!minimize_l1) {
     RVector zero(num_vars);
     IlpResult r = SolveIlp(num_vars, cons, zero, options);
+    if (lp_pivots != nullptr) *lp_pivots += r.lp_pivots;
     if (!r.feasible) return std::nullopt;
     return r.x;
   }
@@ -133,6 +135,7 @@ std::optional<std::vector<int64_t>> FindIntegerPoint(
     }
   }
   IlpResult r = SolveIlp(total, sys, obj, ext);
+  if (lp_pivots != nullptr) *lp_pivots += r.lp_pivots;
   if (!r.feasible) return std::nullopt;
   r.x.resize(num_vars);
   return r.x;

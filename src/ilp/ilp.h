@@ -33,6 +33,7 @@ struct IlpResult {
   bool feasible = false;
   std::vector<int64_t> x;
   Rational objective;  // maximized
+  int64_t lp_pivots = 0;  // simplex pivots over every LP relaxation solved
 };
 
 /// \brief Maximize objective over integer points satisfying cons (plus the
@@ -41,10 +42,12 @@ IlpResult SolveIlp(size_t num_vars, const std::vector<LpConstraint>& cons,
                    const RVector& objective, const IlpOptions& options = {});
 
 /// \brief Find any integer point in the system (zero objective), or one
-/// minimizing the L1 norm sum |x_i| if minimize_l1 is set.
+/// minimizing the L1 norm sum |x_i| if minimize_l1 is set. Adds the
+/// relaxations' simplex pivots to `*lp_pivots` when it is given.
 std::optional<std::vector<int64_t>> FindIntegerPoint(
     size_t num_vars, const std::vector<LpConstraint>& cons,
-    bool minimize_l1 = true, const IlpOptions& options = {});
+    bool minimize_l1 = true, const IlpOptions& options = {},
+    int64_t* lp_pivots = nullptr);
 
 }  // namespace riot
 

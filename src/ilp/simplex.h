@@ -12,6 +12,14 @@
 // large fused programs produce cannot hang the optimizer. A hard pivot
 // budget backstops both phases: exceeding it surfaces kResourceExhausted
 // to the caller instead of pivoting forever (or aborting the process).
+//
+// The tableau is dense and built once, Phase I artificials included.
+// Each pivot updates only the pivot row's nonzero columns, in the rows
+// with a nonzero in the pivot column; Phase II prices the original
+// columns in place, and a zero objective skips it (the Phase I basis is
+// already optimal). None of this changes which pivots are made: the
+// pivot sequence, and so every vertex returned, is a function of the
+// input alone.
 #ifndef RIOTSHARE_ILP_SIMPLEX_H_
 #define RIOTSHARE_ILP_SIMPLEX_H_
 
@@ -38,6 +46,7 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   RVector x;           // valid iff status == kOptimal
   Rational objective;  // valid iff status == kOptimal
+  int64_t pivots = 0;  // simplex pivots made, across both phases
 };
 
 struct LpOptions {

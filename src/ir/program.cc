@@ -89,13 +89,41 @@ const std::vector<int64_t>& Program::InstanceBlocks(int stmt_id) const {
 
 std::vector<ScheduledInstance> Program::ScheduledOrder(
     const Schedule& sched) const {
+  size_t total = 0;
+  for (const auto& s : stmts_) total += InstancesOf(s.id).size();
   std::vector<ScheduledInstance> all;
+  all.reserve(total);
+  std::vector<int64_t> coeffs;  // the statement's schedule, row-major
   for (const auto& s : stmts_) {
+    // Times in int64 from an integer copy of the schedule: the same values
+    // Schedule::TimeOf computes in Rational.
+    const RMatrix& m = sched.ForStatement(s.id);
+    const size_t rows = m.rows(), cols = m.cols();
+    RIOT_CHECK_EQ(cols, s.depth() + 1);
+    coeffs.resize(rows * cols);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < cols; ++c) {
+        RIOT_CHECK(m.At(r, c).IsInteger())
+            << "non-integral schedule entry in statement " << s.name;
+        coeffs[r * cols + c] = m.At(r, c).ToInt64();
+      }
+    }
     for (const auto& iter : InstancesOf(s.id)) {
       ScheduledInstance inst;
       inst.stmt_id = s.id;
-      inst.time = sched.TimeOf(s.id, iter);
       inst.iter = iter;
+      inst.time.resize(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        const int64_t* row = &coeffs[r * cols];
+        int64_t acc = row[cols - 1];
+        for (size_t d = 0; d + 1 < cols; ++d) {
+          int64_t term;
+          RIOT_CHECK(!__builtin_mul_overflow(row[d], iter[d], &term) &&
+                     !__builtin_add_overflow(acc, term, &acc))
+              << "schedule time overflows int64 in statement " << s.name;
+        }
+        inst.time[r] = acc;
+      }
       all.push_back(std::move(inst));
     }
   }

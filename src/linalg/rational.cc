@@ -1,14 +1,14 @@
 #include "linalg/rational.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace riot {
 
 namespace {
-// Bound chosen so that products of two in-range values stay within __int128.
-const int128 kRangeLimit = (int128(1) << 62);
 
 std::string Int128ToString(int128 v) {
   if (v == 0) return "0";
@@ -36,31 +36,36 @@ int128 DivExact(int128 a, int128 g) {
 }
 }  // namespace
 
-void Rational::CheckRange(int128 v) {
-  RIOT_CHECK(v < kRangeLimit && v > -kRangeLimit)
-      << "rational overflow; value magnitude exceeds 2^62";
+void Rational::RangeOverflow(int128 v) {
+  RIOT_CHECK(false) << "rational overflow; value magnitude exceeds 2^62: "
+                    << Int128ToString(v);
+  std::abort();  // unreachable: a failed RIOT_CHECK aborts
 }
 
 int128 Rational::Gcd(int128 a, int128 b) {
   if (a < 0) a = -a;
   if (b < 0) b = -b;
   // Euclid in 128 bits only while an operand exceeds 64 bits: one step
-  // leaves a remainder below the smaller operand, and the rest runs on the
-  // hardware 64-bit remainder instead of the software 128-bit one.
+  // leaves a remainder below the smaller operand, and the rest runs in
+  // 64 bits instead of on the software 128-bit remainder.
   while (b != 0 && (a > INT64_MAX || b > INT64_MAX)) {
     int128 t = a % b;
     a = b;
     b = t;
   }
+  if (a == 0) return b;
   if (b == 0) return a;
+  // Binary (Stein) gcd: shifts and subtractions instead of divisions.
   uint64_t x = static_cast<uint64_t>(a);
   uint64_t y = static_cast<uint64_t>(b);
-  while (y != 0) {
-    uint64_t t = x % y;
-    x = y;
-    y = t;
-  }
-  return x;
+  const int shift = __builtin_ctzll(x | y);
+  x >>= __builtin_ctzll(x);
+  do {
+    y >>= __builtin_ctzll(y);
+    if (x > y) std::swap(x, y);
+    y -= x;
+  } while (y != 0);
+  return static_cast<int128>(x << shift);
 }
 
 void Rational::Normalize() {
@@ -96,38 +101,47 @@ int64_t Rational::Ceil() const {
   return static_cast<int64_t>(q);
 }
 
-Rational Rational::FromInteger(int128 n) {
-  CheckRange(n);
+Rational Rational::Add(int128 a, int128 b, int128 c, int128 d) {
   Rational r;
-  r.num_ = n;
+  const int128 d1 = (b == 1 || d == 1) ? 1 : Gcd(b, d);
+  if (d1 == 1) {
+    // Coprime denominators: a*d + b*c shares no factor with b*d.
+    r.num_ = a * d + b * c;
+    r.den_ = b * d;
+  } else {
+    // Any common factor of t and b*d/d1 divides d1 (Knuth 4.5.1). A zero
+    // sum has b == d == d1, so it comes out as 0/1.
+    const int128 t = a * DivExact(d, d1) + c * DivExact(b, d1);
+    const int128 d2 = Gcd(t, d1);
+    r.num_ = DivExact(t, d2);
+    r.den_ = DivExact(b, d1) * DivExact(d, d2);
+  }
+  CheckRange(r.num_);
+  CheckRange(r.den_);
   return r;
 }
 
-Rational Rational::operator+(const Rational& o) const {
-  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ + o.num_);
-  // Reduce cross terms first to limit growth.
-  int128 g = Gcd(den_, o.den_);
-  int128 lcm_part = DivExact(o.den_, g);
-  return FromInt128(num_ * lcm_part + o.num_ * DivExact(den_, g),
-                    den_ * lcm_part);
-}
-
-Rational Rational::operator-(const Rational& o) const {
-  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ - o.num_);
-  return *this + (-o);
-}
-
-Rational Rational::operator*(const Rational& o) const {
-  if (den_ == 1 && o.den_ == 1) return FromInteger(num_ * o.num_);
-  int128 g1 = Gcd(num_, o.den_);
-  int128 g2 = Gcd(o.num_, den_);
-  return FromInt128(DivExact(num_, g1) * DivExact(o.num_, g2),
-                    DivExact(den_, g2) * DivExact(o.den_, g1));
+Rational Rational::Mul(int128 a, int128 b, int128 c, int128 d) {
+  Rational r;
+  if (a == 0 || c == 0) return r;
+  // Cross-reduce: a/g1 and c/g2 share no factor with b/g2 and d/g1, so
+  // the product is already reduced.
+  const int128 g1 = d == 1 ? 1 : Gcd(a, d);
+  const int128 g2 = b == 1 ? 1 : Gcd(c, b);
+  r.num_ = DivExact(a, g1) * DivExact(c, g2);
+  r.den_ = DivExact(b, g2) * DivExact(d, g1);
+  CheckRange(r.num_);
+  CheckRange(r.den_);
+  return r;
 }
 
 Rational Rational::operator/(const Rational& o) const {
   RIOT_CHECK(!o.IsZero()) << "division by zero";
-  return *this * FromInt128(o.den_, o.num_);
+  // The reciprocal of a reduced pair is reduced; only its sign moves.
+  const int128 rn = o.num_ < 0 ? -o.den_ : o.den_;
+  const int128 rd = o.num_ < 0 ? -o.num_ : o.num_;
+  if (den_ == 1 && rd == 1) return FromInteger(num_ * rn);
+  return Mul(num_, den_, rn, rd);
 }
 
 bool Rational::operator<(const Rational& o) const {

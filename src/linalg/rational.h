@@ -3,9 +3,17 @@
 // The optimizer manipulates polyhedra and simplex tableaux whose entries must
 // be exact; floating point would silently corrupt emptiness tests and
 // schedule legality. Numerators/denominators are kept reduced; overflow of
-// the 128-bit range aborts (it indicates a modeling bug, not a data-size
+// the 2^62 range aborts (it indicates a modeling bug, not a data-size
 // issue, since all quantities here are schedule coefficients and small loop
 // bounds).
+//
+// The exact simplex spends most of its time here, so each operation does
+// only the gcds its result needs. Integer operands (den 1) take an inline
+// path with no gcd at all. Fractions use Knuth's gcd-minimal algorithms
+// (TAOCP vol. 2, 4.5.1): a product of cross-reduced factors is already
+// reduced, and a sum needs one gcd of its numerator with gcd(b, d). Unary
+// minus and reciprocals never need one. Every result is the same canonical
+// pair a full normalization would give.
 #ifndef RIOTSHARE_LINALG_RATIONAL_H_
 #define RIOTSHARE_LINALG_RATIONAL_H_
 
@@ -59,10 +67,25 @@ class Rational {
   /// Smallest integer >= this.
   int64_t Ceil() const;
 
-  Rational operator-() const { return FromInt128(-num_, den_); }
-  Rational operator+(const Rational& o) const;
-  Rational operator-(const Rational& o) const;
-  Rational operator*(const Rational& o) const;
+  /// Negation keeps a reduced pair reduced.
+  Rational operator-() const {
+    Rational r;
+    r.num_ = -num_;
+    r.den_ = den_;
+    return r;
+  }
+  Rational operator+(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromInteger(num_ + o.num_);
+    return Add(num_, den_, o.num_, o.den_);
+  }
+  Rational operator-(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromInteger(num_ - o.num_);
+    return Add(num_, den_, -o.num_, o.den_);
+  }
+  Rational operator*(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromInteger(num_ * o.num_);
+    return Mul(num_, den_, o.num_, o.den_);
+  }
   Rational operator/(const Rational& o) const;
   Rational& operator+=(const Rational& o) { return *this = *this + o; }
   Rational& operator-=(const Rational& o) { return *this = *this - o; }
@@ -83,11 +106,26 @@ class Rational {
   std::string ToString() const;
 
  private:
+  // Bound chosen so that products of two in-range values stay within
+  // __int128.
+  static constexpr int128 kRangeLimit = int128(1) << 62;
+
   void Normalize();
   /// Integer-valued result (den 1): range-checked, no gcd needed.
-  static Rational FromInteger(int128 n);
+  static Rational FromInteger(int128 n) {
+    CheckRange(n);
+    Rational r;
+    r.num_ = n;
+    return r;
+  }
+  /// a/b + c/d and (a/b) * (c/d) for reduced operands with b, d > 0.
+  static Rational Add(int128 a, int128 b, int128 c, int128 d);
+  static Rational Mul(int128 a, int128 b, int128 c, int128 d);
   static int128 Gcd(int128 a, int128 b);
-  static void CheckRange(int128 v);
+  static void CheckRange(int128 v) {
+    if (v >= kRangeLimit || v <= -kRangeLimit) RangeOverflow(v);
+  }
+  [[noreturn]] static void RangeOverflow(int128 v);
 
   int128 num_;
   int128 den_;  // > 0

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -118,9 +119,49 @@ class PosixEnv : public Env {
 
 // ------------------------------------------------------------------ MemEnv
 
+// A file's bytes in chunks of at most kChunk bytes. Every chunk but the
+// last is full and only the last one is ever resized, so growing a file
+// never copies what it already holds (one growing vector copied the whole
+// file each time and left the old buffer to the allocator).
 struct MemFileData {
+  static constexpr uint64_t kChunk = uint64_t{64} << 10;
+
   Mutex mu;
-  std::vector<uint8_t> bytes GUARDED_BY(mu);
+  std::vector<std::vector<uint8_t>> chunks GUARDED_BY(mu);
+  uint64_t size GUARDED_BY(mu) = 0;
+
+  void Grow(uint64_t new_size) REQUIRES(mu) {
+    if (!chunks.empty()) {
+      // Reserve exactly, capped at a chunk: the vector's own geometric
+      // growth would overshoot the cap.
+      std::vector<uint8_t>& last = chunks.back();
+      const uint64_t want =
+          std::min(kChunk, new_size - (chunks.size() - 1) * kChunk);
+      if (want > last.capacity()) {
+        last.reserve(std::min<uint64_t>(
+            kChunk, std::max<uint64_t>(want, 2 * last.capacity())));
+      }
+      last.resize(want);
+    }
+    while (chunks.size() * kChunk < new_size) {
+      chunks.emplace_back(std::min(kChunk, new_size - chunks.size() * kChunk));
+    }
+    size = new_size;
+  }
+
+  /// Calls fn(chunk bytes, length) for each chunk piece of
+  /// [offset, offset + n) in order; the range must lie within `size`.
+  template <typename Fn>
+  void ForEachPiece(uint64_t offset, size_t n, Fn fn) REQUIRES(mu) {
+    while (n > 0) {
+      const uint64_t in_chunk = offset % kChunk;
+      const size_t len =
+          static_cast<size_t>(std::min<uint64_t>(n, kChunk - in_chunk));
+      fn(chunks[offset / kChunk].data() + in_chunk, len);
+      offset += len;
+      n -= len;
+    }
+  }
 };
 
 class MemFile : public File {
@@ -130,10 +171,14 @@ class MemFile : public File {
 
   Status Read(uint64_t offset, size_t n, void* buf) override {
     MutexLock lock(&data_->mu);
-    if (offset + n > data_->bytes.size()) {
+    if (offset + n > data_->size) {
       return Status::IoError("MemFile read past end");
     }
-    std::memcpy(buf, data_->bytes.data() + offset, n);
+    auto* out = static_cast<uint8_t*>(buf);
+    data_->ForEachPiece(offset, n, [&](const uint8_t* p, size_t len) {
+      std::memcpy(out, p, len);
+      out += len;
+    });
     stats_->bytes_read += static_cast<int64_t>(n);
     ++stats_->read_ops;
     return Status::OK();
@@ -141,10 +186,12 @@ class MemFile : public File {
 
   Status Write(uint64_t offset, size_t n, const void* buf) override {
     MutexLock lock(&data_->mu);
-    if (offset + n > data_->bytes.size()) {
-      data_->bytes.resize(offset + n);
-    }
-    std::memcpy(data_->bytes.data() + offset, buf, n);
+    if (offset + n > data_->size) data_->Grow(offset + n);
+    const auto* in = static_cast<const uint8_t*>(buf);
+    data_->ForEachPiece(offset, n, [&](uint8_t* p, size_t len) {
+      std::memcpy(p, in, len);
+      in += len;
+    });
     stats_->bytes_written += static_cast<int64_t>(n);
     ++stats_->write_ops;
     return Status::OK();
@@ -152,7 +199,7 @@ class MemFile : public File {
 
   Result<uint64_t> Size() override {
     MutexLock lock(&data_->mu);
-    return static_cast<uint64_t>(data_->bytes.size());
+    return data_->size;
   }
 
  private:

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 namespace riot {
 namespace {
 
@@ -177,6 +181,175 @@ TEST(RationalFastPathTest, GcdOnEachSideOfInt64Max) {
   EXPECT_EQ(f.ToString(), "2305843009213693952");
   Rational g = Rational::FromInt128(-(int128{5} << 62), 10);
   EXPECT_EQ(g.ToString(), "-2305843009213693952");
+}
+
+// The arithmetic every operation used to do, as the oracle for Knuth's
+// gcd-minimal add and multiply and the binary gcd: form the unreduced
+// result in 128 bits, then divide out a Euclid gcd.
+int128 EuclidGcd(int128 a, int128 b) {
+  if (a < 0) a = -a;
+  if (b < 0) b = -b;
+  while (b != 0) {
+    int128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+using Pair = std::pair<int128, int128>;  // (num, den), den > 0, reduced
+
+Pair Reduce(int128 n, int128 d) {
+  if (d < 0) {
+    n = -n;
+    d = -d;
+  }
+  if (n == 0) return {0, 1};
+  const int128 g = EuclidGcd(n, d);
+  return {n / g, d / g};
+}
+
+Pair Of(const Rational& r) { return {r.num(), r.den()}; }
+Pair RefAdd(const Rational& x, const Rational& y) {
+  return Reduce(x.num() * y.den() + y.num() * x.den(), x.den() * y.den());
+}
+Pair RefSub(const Rational& x, const Rational& y) {
+  return Reduce(x.num() * y.den() - y.num() * x.den(), x.den() * y.den());
+}
+Pair RefMul(const Rational& x, const Rational& y) {
+  return Reduce(x.num() * y.num(), x.den() * y.den());
+}
+Pair RefDiv(const Rational& x, const Rational& y) {
+  return Reduce(x.num() * y.den(), x.den() * y.num());
+}
+bool InRange(const Pair& p) {
+  const int128 limit = int128{1} << 62;
+  return p.first < limit && p.first > -limit && p.second < limit;
+}
+
+// Operands from every regime the simplex meets: integers, fractions over
+// coprime and over shared denominators (including equal ones), and
+// numerators or denominators near the 2^62 range limit.
+std::vector<Rational> Operands(uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  auto below = [&rng](int64_t n) {
+    return static_cast<int64_t>(rng() % static_cast<uint64_t>(n));
+  };
+  const int64_t near_limit = (int64_t{1} << 62) - 1;
+  std::vector<Rational> v = {Rational(0), Rational(1), Rational(-1),
+                             Rational(near_limit),
+                             Rational(-near_limit, 3),
+                             Rational(1, near_limit),
+                             Rational(near_limit - 2, near_limit)};
+  const int64_t shared[] = {2, 3, 4, 6, 12, 30, 60, 210};
+  for (int i = 0; i < 60; ++i) {
+    const int64_t num = below(41) - 20;
+    switch (i % 5) {
+      case 0: v.emplace_back(num); break;
+      case 1: v.emplace_back(num, 1 + below(19)); break;
+      case 2: v.emplace_back(num, shared[below(8)]); break;
+      case 3:  // large coprime-ish denominators
+        v.emplace_back(num, (int64_t{1} << (20 + below(21))) + below(97));
+        break;
+      default:  // a numerator near the limit over a small denominator
+        v.emplace_back((below(2) == 0 ? 1 : -1) * (near_limit - below(1000)),
+                       1 + below(7));
+        break;
+    }
+  }
+  return v;
+}
+
+class RationalKnuthTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(RationalKnuthTest, MatchesNormalizeEverythingArithmetic) {
+  const std::vector<Rational> ops = Operands(GetParam());
+  int compared = 0, zero_results = 0;
+  for (const Rational& x : ops) {
+    for (const Rational& y : ops) {
+      // Only in-range results: an out-of-range one aborts (death test
+      // below), exactly as it did before.
+      const Pair sum = RefAdd(x, y);
+      if (InRange(sum)) {
+        ASSERT_EQ(Of(x + y), sum) << x << " + " << y;
+        zero_results += sum.first == 0;
+        ++compared;
+      }
+      const Pair diff = RefSub(x, y);
+      if (InRange(diff)) {
+        ASSERT_EQ(Of(x - y), diff) << x << " - " << y;
+        zero_results += diff.first == 0;
+      }
+      const Pair prod = RefMul(x, y);
+      if (InRange(prod)) {
+        ASSERT_EQ(Of(x * y), prod) << x << " * " << y;
+        zero_results += prod.first == 0;
+      }
+      if (!y.IsZero()) {
+        const Pair quot = RefDiv(x, y);
+        if (InRange(quot)) {
+          ASSERT_EQ(Of(x / y), quot) << x << " / " << y;
+        }
+      }
+    }
+    ASSERT_EQ(Of(-x), Reduce(-x.num(), x.den())) << "-" << x;
+    ASSERT_EQ(Of(-(-x)), Of(x));
+  }
+  EXPECT_GT(compared, 1500);
+  EXPECT_GT(zero_results, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RationalKnuthTest, ::testing::Range(1u, 9u));
+
+// The binary gcd behind every reduction (FromInt128 normalizes with it)
+// against Euclid: odd and even common factors, powers of two, zero
+// numerators, signs, and operands above INT64_MAX that take the 128-bit
+// Euclid steps first.
+TEST(RationalGcdTest, BinaryGcdMatchesEuclid) {
+  std::mt19937_64 rng(62);
+  for (int i = 0; i < 20000; ++i) {
+    const int128 a = static_cast<int128>(rng() % (uint64_t{1} << 40));
+    const int128 b = 1 + static_cast<int128>(rng() % (uint64_t{1} << 40));
+    int128 g;
+    switch (i % 4) {
+      case 0: g = 1; break;
+      case 1: g = int128{1} << (rng() % 22); break;
+      case 2: g = 1 + static_cast<int128>(rng() % (uint64_t{1} << 22)); break;
+      default:  // lifts both operands above INT64_MAX
+        g = (int128{1} << 60) + static_cast<int128>(rng() % 1000);
+        break;
+    }
+    const int128 n = (i % 3 == 0 ? -1 : 1) * a * g;
+    const int128 d = (i % 5 == 0 ? -1 : 1) * b * g;
+    ASSERT_EQ(Of(Rational::FromInt128(n, d)), Reduce(n, d)) << i;
+  }
+}
+
+TEST(RationalGcdTest, ResultsNearTheRangeLimit) {
+  const int64_t max_value = (int64_t{1} << 62) - 1;  // divisible by 3
+  // Equal denominators: the sum's gcd comes from gcd(t, d) alone.
+  EXPECT_EQ((Rational(max_value - 1, 3) + Rational(1, 3)).ToString(),
+            Rational(max_value, 3).ToString());
+  // Coprime denominators whose product is just below the limit.
+  const int64_t p = (int64_t{1} << 31) - 1, q = (int64_t{1} << 31) + 1;
+  EXPECT_EQ((Rational(1, p) + Rational(1, q)).ToString(),
+            Rational(2 * (int64_t{1} << 31), p * q).ToString());
+  // A cross-reduced product of large factors lands back on an integer.
+  EXPECT_EQ((Rational(max_value, 7) * Rational(7, max_value)).ToString(), "1");
+  EXPECT_EQ((Rational(-max_value) / Rational(max_value, 5)).ToString(), "-5");
+}
+
+// Fractions whose exact sum, difference or product leaves the range still
+// abort, as before the gcd-lean arithmetic.
+TEST(RationalGcdTest, FractionOverflowStillAborts) {
+  const Rational big = Rational::FromInt128((int128{1} << 62) - 1, 5);
+  EXPECT_DEATH(big + big, "overflow");
+  EXPECT_DEATH(big * Rational(2), "overflow");
+  EXPECT_DEATH(-big - big, "overflow");
+  const int64_t two31 = int64_t{1} << 31;
+  EXPECT_DEATH(Rational(1, two31) * Rational(1, two31), "overflow");
+  EXPECT_DEATH(Rational(1, two31) + Rational(1, two31 + 1), "overflow");
+  EXPECT_DEATH(Rational(2, 3) / Rational(1, int64_t{1} << 61), "overflow");
 }
 
 }  // namespace

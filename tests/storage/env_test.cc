@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <random>
+#include <vector>
 
 namespace riot {
 namespace {
@@ -42,6 +45,54 @@ TEST(MemEnvTest, ReadPastEndFails) {
   auto f = env->OpenFile("/f", true);
   char b[16];
   EXPECT_FALSE((*f)->Read(0, 16, b).ok());
+}
+
+// MemEnv keeps a file in 64 KiB chunks. Seeded writes of every size, at
+// offsets that straddle chunk boundaries or leave holes past the end, must
+// read back exactly like one flat zero-filled buffer, with the same size,
+// read-past-end errors and I/O counts.
+TEST(MemEnvTest, ChunkedFileMatchesFlatBuffer) {
+  auto env = NewMemEnv();
+  auto f = env->OpenFile("/chunked", true);
+  ASSERT_TRUE(f.ok());
+  std::vector<uint8_t> model;
+  std::mt19937 rng(64);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const size_t kChunk = size_t{64} << 10;
+  int64_t written = 0, read = 0, write_ops = 0, read_ops = 0;
+  for (int i = 0; i < 400; ++i) {
+    const size_t n = i % 7 == 0 ? below(3 * kChunk) : below(5000);
+    size_t offset = below(model.size() + kChunk / 2);
+    if (i % 5 == 0) {  // straddle a chunk boundary
+      const size_t boundary = kChunk * (1 + below(4));
+      offset = boundary - std::min(boundary, below(n + 1));
+    }
+    std::vector<uint8_t> data(n);
+    for (auto& b : data) b = static_cast<uint8_t>(rng());
+    ASSERT_TRUE((*f)->Write(offset, n, data.data()).ok());
+    if (offset + n > model.size()) model.resize(offset + n);
+    std::copy(data.begin(), data.end(), model.begin() + offset);
+    written += static_cast<int64_t>(n);
+    ++write_ops;
+
+    auto size = (*f)->Size();
+    ASSERT_TRUE(size.ok());
+    ASSERT_EQ(*size, model.size());
+    const size_t from = below(model.size() + 1);
+    const size_t len = below(model.size() - from + 1);
+    std::vector<uint8_t> got(len);
+    ASSERT_TRUE((*f)->Read(from, len, got.data()).ok());
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), model.begin() + from))
+        << "read " << len << " at " << from << " after write " << i;
+    read += static_cast<int64_t>(len);
+    ++read_ops;
+    uint8_t byte;
+    EXPECT_FALSE((*f)->Read(model.size(), 1, &byte).ok());
+  }
+  EXPECT_EQ(env->stats().bytes_written.load(), written);
+  EXPECT_EQ(env->stats().bytes_read.load(), read);
+  EXPECT_EQ(env->stats().write_ops.load(), write_ops);
+  EXPECT_EQ(env->stats().read_ops.load(), read_ops);
 }
 
 TEST(MemEnvTest, StatsCountBytesAndOps) {
